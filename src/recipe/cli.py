@@ -23,7 +23,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .decoder import ReceivedCodeword, decode_stream
+from .decoder import ReceivedCodeword, decode_stream, replay_xor_mask, replay_xor_set
 from .distributions import (
     PintParams,
     expand_invariant,
@@ -42,6 +42,7 @@ from .evaluation import (
     PintScheme,
     RecipeDScheme,
     RecipeTScheme,
+    _draw_switch_ids,
     curves_to_csv,
     default_threads,
     efficiency_curve,
@@ -50,12 +51,12 @@ from .evaluation import (
 from .feasibility import check_feasible, derive_apa, read_apa, write_apa
 from .protocol import (
     ACTION_NAMES,
-    Packet,
+    ADD,
+    REPLACE,
+    _apply_action,
     generate_avst,
     hash_uniform,
     read_avst,
-    step_recipe_d,
-    step_recipe_t,
     write_avst,
 )
 from .search import SearchConfig, hrs_search, qps_search
@@ -91,7 +92,7 @@ def _write_manifest(out_path: str, args, inputs: list[str]) -> None:
             h.update(fh.read())
         digests[p] = h.hexdigest()
     manifest = {
-        "command": sys.argv,
+        "command": args.argv,
         "seed": getattr(args, "seed", None),
         "inputs": digests,
         "version": __version__,
@@ -196,54 +197,29 @@ def _cmd_gen_avst(args) -> int:
 
 def _cmd_simulate(args) -> int:
     scheme = _scheme_from_args(args, args.k)
+    mode = scheme.decode_mode()
     rng = np.random.default_rng(args.seed)
-    from .evaluation import _draw_switch_ids
-    switch_ids = _draw_switch_ids(rng, args.k)
-    print(f"switch IDs: {[hex(int(v)) for v in switch_ids]}")
-    gh = scheme.gh
+    switch_ids = [int(v) for v in _draw_switch_ids(rng, args.k)]
+    print(f"switch IDs: {[hex(v) for v in switch_ids]}")
     for n in range(args.packets):
         pid = int(rng.integers(0, 2**64, dtype=np.uint64))
         print(f"packet {n}: id={pid:#018x}")
-        if isinstance(scheme, (RecipeDScheme, RecipeTScheme)):
-            pkt = Packet(packet_id=pid)
-            for i in range(1, args.k + 1):
-                if isinstance(scheme, RecipeDScheme):
-                    nxt = step_recipe_d(pkt, int(switch_ids[i - 1]), scheme.apa, gh)
-                else:
-                    nxt = step_recipe_t(pkt, int(switch_ids[i - 1]), scheme.avst, gh)
-                action = _infer_action(pkt, nxt, int(switch_ids[i - 1]))
-                nu = hash_uniform(gh, i, pid)
-                print(f"  hop {i}: nu={nu:.6f} action={ACTION_NAMES[action]} "
-                      f"codeword={nxt.codeword:#x} d={nxt.degree_field}")
-                pkt = nxt
-            delivered = pkt.codeword
-        else:
-            masks = scheme.generate_masks(args.k, np.array([pid], dtype=np.uint64))
-            mask = int(masks[0])
-            delivered = 0
-            for h in range(args.k):
-                if (mask >> h) & 1:
-                    delivered ^= int(switch_ids[h])
-            print(f"  baseline XOR-set mask={mask:#x}")
-        from .decoder import replay_xor_set
-        replayed = sorted(replay_xor_set(pid, args.k, scheme.decode_mode()))
-        print(f"  delivered codeword={delivered:#x}; replayed XOR-set={replayed}")
+        row = scheme.actions(args.k, np.array([pid], dtype=np.uint64))[0]
+        codeword, degree = 0, 0
+        for i, (action, switch_id) in enumerate(zip(row.tolist(), switch_ids), start=1):
+            codeword = _apply_action(action, codeword, switch_id)
+            degree = degree + 1 if action == ADD else (1 if action == REPLACE else degree)
+            nu = hash_uniform(scheme.gh, i, pid)
+            print(f"  hop {i}: nu={nu:.6f} action={ACTION_NAMES[action]} "
+                  f"codeword={codeword:#x} d={degree}")
+        replayed = sorted(replay_xor_set(pid, args.k, mode))
+        print(f"  delivered codeword={codeword:#x}; replayed XOR-set={replayed}")
     return EXIT_OK
-
-
-def _infer_action(before: Packet, after: Packet, my_id: int) -> int:
-    from .protocol import ADD, REPLACE, SKIP
-    if after.codeword == before.codeword ^ my_id and before.codeword != 0:
-        return ADD
-    if after.codeword == before.codeword:
-        return SKIP
-    return REPLACE
 
 
 def _cmd_decode(args) -> int:
     scheme = _scheme_from_args(args, args.k)
     mode = scheme.decode_mode()
-    from .decoder import replay_xor_mask
 
     def stream():
         with open(args.input, "r", encoding="utf-8") as fh:
@@ -447,6 +423,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_OK
+    args.argv = sys.argv[1:] if argv is None else list(argv)
     try:
         return args.func(args)
     except (InfeasibleSequenceError, SequenceValidationError) as exc:

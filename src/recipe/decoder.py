@@ -150,6 +150,11 @@ class PeelingState:
     Pending codewords always store their value with already-resolved
     members subtracted out.  Resolution never un-happens; inconsistent
     re-resolution raises, because in a correct pipeline it cannot occur.
+
+    Each pending codeword is a shared [mask, value] entry listed under
+    every one of its unknown bits.  A bit's list is consumed when the bit
+    resolves; an entry that drops to one unknown member is retired by
+    zeroing its mask, so the lists of its other bits skip it later.
     """
 
     def __init__(self, k: int):
@@ -159,39 +164,42 @@ class PeelingState:
         self.resolved: dict[int, int] = {}  # hop -> value
         self._resolved_mask = 0
         self._value_by_bit: dict[int, int] = {}
-        self._pending: dict[int, list] = {}  # cid -> [mask, value]
-        self._by_bit: dict[int, set] = {}
-        self._next_cid = 0
+        self._by_bit: dict[int, list] = {}  # bit -> pending [mask, value] entries
+        self._n_pending = 0
 
     @property
     def complete(self) -> bool:
         return len(self.resolved) == self.k
 
     def pending_count(self) -> int:
-        return len(self._pending)
+        return self._n_pending
 
     def insert(self, mask: int, value: int) -> list[int]:
         """Absorb one codeword; return hops newly resolved (cascades included)."""
-        reduce_bits = mask & self._resolved_mask
-        while reduce_bits:
-            low = reduce_bits & -reduce_bits
-            value ^= self._value_by_bit[low]
-            reduce_bits ^= low
-        mask &= ~self._resolved_mask
+        known = mask & self._resolved_mask
+        if known:
+            mask ^= known
+            while known:
+                low = known & -known
+                value ^= self._value_by_bit[low]
+                known ^= low
         if mask == 0:
             if value != 0:
                 raise DataCorruptionError(
                     "codeword reduced to the empty set with nonzero value")
             return []
         if mask & (mask - 1):  # more than one unknown member: park it
-            cid = self._next_cid
-            self._next_cid += 1
-            self._pending[cid] = [mask, value]
-            bits = mask
-            while bits:
-                low = bits & -bits
-                self._by_bit.setdefault(low, set()).add(cid)
-                bits ^= low
+            entry = [mask, value]
+            self._n_pending += 1
+            by_bit = self._by_bit
+            while mask:
+                low = mask & -mask
+                entries = by_bit.get(low)
+                if entries is None:
+                    by_bit[low] = [entry]
+                else:
+                    entries.append(entry)
+                mask ^= low
             return []
         return self._resolve_cascade(mask, value)
 
@@ -207,23 +215,21 @@ class PeelingState:
                 continue
             self._resolved_mask |= bit
             self._value_by_bit[bit] = value
-            self.resolved[bit.bit_length()] = value
-            newly.append(bit.bit_length())
-            for cid in list(self._by_bit.get(bit, ())):
-                entry = self._pending[cid]
-                entry[0] &= ~bit
-                entry[1] ^= value
-                self._by_bit[bit].discard(cid)
+            hop = bit.bit_length()
+            self.resolved[hop] = value
+            newly.append(hop)
+            for entry in self._by_bit.pop(bit, ()):
                 m = entry[0]
-                if m == 0:
-                    del self._pending[cid]
-                    if entry[1] != 0:
-                        raise DataCorruptionError(
-                            "pending codeword cancelled with nonzero value")
-                elif not (m & (m - 1)):
-                    del self._pending[cid]
-                    self._by_bit[m].discard(cid)
-                    queue.append((m, entry[1]))
+                if not m & bit:  # retired earlier
+                    continue
+                m ^= bit
+                if m & (m - 1):
+                    entry[0] = m
+                    entry[1] ^= value
+                    continue
+                entry[0] = 0
+                self._n_pending -= 1
+                queue.append((m, entry[1] ^ value))
         return newly
 
 

@@ -22,25 +22,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoder import PeelingState, PintMode, RecipeDMode, RecipeTMode
+from .decoder import PINT_BRANCH_HOP, PeelingState, PintMode, RecipeDMode, RecipeTMode
 from .distributions import PintParams
 from .errors import InternalConsistencyError, RangeError
 from .feasibility import Apa, derive_apa
 from .protocol import (
     ADD,
     REPLACE,
+    SKIP,
     Avst,
     GlobalHash,
-    _apa_threshold_arrays,
     _mix64,
     hash_uniform_array,
+    masks_from_members,
+    recipe_d_actions,
     row_select_array,
+    xor_members,
 )
 from .xdd import XddSequence, _atomic_write_text
 
 # Packets consumed before a trial is declared incomplete; incomplete trials
 # contribute exactly this value to the mean (pessimistic).
 CAP_FACTOR = 200
+
+# Action-matrix cells (packets x hops) generated per kernel call in
+# run_trials: large enough to amortize the per-hop numpy calls, small
+# enough that 1e5-trial curves stay within a few tens of MB.
+_CHUNK_CELLS = 1 << 21
 
 _SEED_C1 = 0xFF51AFD7ED558CCD
 _SEED_C2 = 0xC4CEB9FE1A85EC53
@@ -53,12 +61,20 @@ def derive_seed(master: int, a: int, b: int = 0) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Schemes: each knows how to turn a block of packet ids into the XOR-set
-# masks their delivered codewords would carry at path length k, exactly as
-# the per-hop protocol (and therefore the decoder's replay) computes them.
+# Schemes: each has one action kernel, `actions(k, pids) -> uint8[n, k]`,
+# giving the Skip/Add/Replace code every hop of a length-k path applies to
+# each packet, exactly as the per-hop protocol (and therefore the decoder's
+# replay) decides it.  XOR-sets, codeword values and degree counts all
+# derive from the membership `xor_members` reads off that matrix.
 
 
-class RecipeDScheme:
+class _Scheme:
+    def generate_masks(self, k: int, pids: np.ndarray) -> list[int]:
+        """XOR-set bitmask (bit h-1 = hop h) of each packet's codeword."""
+        return masks_from_members(xor_members(self.actions(k, pids)))
+
+
+class RecipeDScheme(_Scheme):
     """Degree-based protocol parameterized by an APA (or the sequence it
     realizes) and the network hash key."""
 
@@ -77,39 +93,11 @@ class RecipeDScheme:
     def decode_mode(self):
         return RecipeDMode(self.apa, self.gh)
 
-    def generate_masks(self, k: int, pids: np.ndarray):
-        if k > self.K:
-            raise RangeError(f"path length {k} beyond diameter {self.K}")
-        n = pids.size
-        if k <= 64:
-            masks = np.ones(n, dtype=_U64)
-            deg = np.ones(n, dtype=np.int64)
-            for i in range(2, k + 1):
-                p_add, p_rep, _ = _apa_threshold_arrays(self.apa, i)
-                nu = hash_uniform_array(self.gh, i, pids)
-                pa = p_add[deg - 1]
-                add = nu < pa
-                rep = ~add & (nu < pa + p_rep[deg - 1])
-                bit = _U64(1 << (i - 1))
-                masks = np.where(rep, bit, masks | np.where(add, bit, _U64(0)))
-                deg = np.where(add, deg + 1, np.where(rep, 1, deg))
-            return masks
-        bm = np.zeros((n, k), dtype=bool)
-        bm[:, 0] = True
-        deg = np.ones(n, dtype=np.int64)
-        for i in range(2, k + 1):
-            p_add, p_rep, _ = _apa_threshold_arrays(self.apa, i)
-            nu = hash_uniform_array(self.gh, i, pids)
-            pa = p_add[deg - 1]
-            add = nu < pa
-            rep = ~add & (nu < pa + p_rep[deg - 1])
-            bm[rep] = False
-            bm[add | rep, i - 1] = True
-            deg = np.where(add, deg + 1, np.where(rep, 1, deg))
-        return _pack_bool_masks(bm)
+    def actions(self, k: int, pids: np.ndarray) -> np.ndarray:
+        return recipe_d_actions(self.apa, self.gh, k, pids)
 
 
-class RecipeTScheme:
+class RecipeTScheme(_Scheme):
     """Table-based protocol: same table at every switch, row picked per
     packet by the salt-separated hash."""
 
@@ -123,31 +111,13 @@ class RecipeTScheme:
     def decode_mode(self):
         return RecipeTMode(self.avst, self.gh)
 
-    def generate_masks(self, k: int, pids: np.ndarray):
+    def actions(self, k: int, pids: np.ndarray) -> np.ndarray:
         if k > self.K:
             raise RangeError(f"path length {k} beyond diameter {self.K}")
-        rows = self.avst.rows[row_select_array(self.gh, pids, self.avst.L)]
-        n = pids.size
-        if k <= 64:
-            masks = np.zeros(n, dtype=_U64)
-            for i in range(1, k + 1):
-                act = rows[:, i - 1]
-                add = act == ADD
-                rep = act == REPLACE
-                bit = _U64(1 << (i - 1))
-                masks = np.where(rep, bit, masks | np.where(add, bit, _U64(0)))
-            return masks
-        bm = np.zeros((n, k), dtype=bool)
-        for i in range(1, k + 1):
-            act = rows[:, i - 1]
-            add = act == ADD
-            rep = act == REPLACE
-            bm[rep] = False
-            bm[add | rep, i - 1] = True
-        return _pack_bool_masks(bm)
+        return self.avst.rows[row_select_array(self.gh, pids, self.avst.L), :k]
 
 
-class PintScheme:
+class PintScheme(_Scheme):
     """PINT baseline: with probability alpha the packet carries the
     reservoir-sampled single hop, otherwise every hop XORs in with
     probability p.  The binomial branch can deliver an empty codeword;
@@ -167,35 +137,18 @@ class PintScheme:
     def decode_mode(self):
         return PintMode(self.params, self.gh)
 
-    def generate_masks(self, k: int, pids: np.ndarray):
+    def actions(self, k: int, pids: np.ndarray) -> np.ndarray:
+        """Reservoir branch: hop i replaces with probability 1/i.
+        Binomial branch: hop i adds with probability p."""
         if k > self.K:
             raise RangeError(f"path length {k} beyond diameter {self.K}")
-        n = pids.size
-        branch = hash_uniform_array(self.gh, 0, pids) < self.params.alpha
-        keep = np.ones(n, dtype=np.int64)
-        if k <= 64:
-            bmask = np.zeros(n, dtype=_U64)
-            for i in range(1, k + 1):
-                u = hash_uniform_array(self.gh, i, pids)
-                keep = np.where(u < 1.0 / i, i, keep)
-                bit = _U64(1 << (i - 1))
-                bmask |= np.where(u < self.params.p, bit, _U64(0))
-            rmask = np.left_shift(_U64(1), (keep - 1).astype(_U64))
-            return np.where(branch, rmask, bmask)
-        bm = np.zeros((n, k), dtype=bool)
+        reservoir = hash_uniform_array(self.gh, PINT_BRANCH_HOP, pids) < self.params.alpha
+        actions = np.empty((pids.size, k), dtype=np.uint8)
         for i in range(1, k + 1):
             u = hash_uniform_array(self.gh, i, pids)
-            keep = np.where(u < 1.0 / i, i, keep)
-            bm[:, i - 1] = u < self.params.p
-        bm[branch] = False
-        bm[branch, keep[branch] - 1] = True
-        return _pack_bool_masks(bm)
-
-
-def _pack_bool_masks(bm: np.ndarray) -> list:
-    """Rows of a boolean hop matrix as arbitrary-width int bitmasks."""
-    packed = np.packbits(bm, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+            actions[:, i - 1] = np.where(reservoir, np.where(u < 1.0 / i, REPLACE, SKIP),
+                                         np.where(u < self.params.p, ADD, SKIP))
+        return actions
 
 
 @dataclass(frozen=True)
@@ -210,37 +163,23 @@ class TrialResult:
 def _draw_switch_ids(rng, k: int) -> np.ndarray:
     """k distinct nonzero 32-bit switch IDs."""
     ids = rng.integers(1, 2**32, size=k, dtype=_U64)
-    while np.unique(ids).size < k:
+    while len(set(ids.tolist())) < k:
         ids = rng.integers(1, 2**32, size=k, dtype=_U64)
     return ids
 
 
-def _codeword_values(masks, switch_ids: np.ndarray) -> np.ndarray:
-    """XOR-sum of the IDs named by each mask (one instance's id vector)."""
-    k = switch_ids.size
-    if isinstance(masks, np.ndarray):
-        vals = np.zeros(masks.shape, dtype=_U64)
-        for h in range(k):
-            sel = (masks >> _U64(h)) & _U64(1)
-            vals ^= sel * switch_ids[h]
-        return vals
-    out = np.zeros(len(masks), dtype=_U64)
-    for j, m in enumerate(masks):
-        v = 0
-        while m:
-            low = m & -m
-            v ^= int(switch_ids[low.bit_length() - 1])
-            m ^= low
-        out[j] = v
-    return out
+def _codeword_values(members: np.ndarray, switch_ids: np.ndarray) -> np.ndarray:
+    """XOR-sum of the IDs each membership row names (one instance's ids)."""
+    return np.bitwise_xor.reduce(np.where(members, switch_ids, _U64(0)), axis=1)
 
 
 def run_trials(scheme, k: int, seeds) -> tuple[np.ndarray, np.ndarray]:
     """Run one instance per seed; return (used, completed) arrays.
 
     Codeword generation is batched across the still-active instances per
-    round; each instance consumes its own stream in order through the
-    peeling decoder and is verified against its ground-truth IDs.
+    round, at most _CHUNK_CELLS action-matrix cells per kernel call; each
+    instance consumes its own stream in order through the peeling decoder
+    and is verified against its ground-truth IDs.
     """
     B = len(seeds)
     cap = CAP_FACTOR * k
@@ -250,33 +189,39 @@ def run_trials(scheme, k: int, seeds) -> tuple[np.ndarray, np.ndarray]:
     used = np.zeros(B, dtype=np.int64)
     completed = np.zeros(B, dtype=bool)
     block = min(cap, max(2 * k, 8))
+    chunk = max(1, _CHUNK_CELLS // (block * k))
     active = list(range(B))
     while active:
-        pid_rows = [rngs[t].integers(0, 2**64, size=block, dtype=_U64) for t in active]
-        flat = scheme.generate_masks(k, np.concatenate(pid_rows))
         still = []
-        for row, t in enumerate(active):
-            masks = flat[row * block:(row + 1) * block]
-            vals = _codeword_values(masks, switch_ids[t])
-            state = states[t]
-            n_used = used[t]
-            for j in range(block):
-                m = int(masks[j])
-                if m == 0 and not scheme.counts_empty:
-                    continue
-                state.insert(m, int(vals[j]))
-                n_used += 1
-                if state.complete or n_used >= cap:
-                    break
-            used[t] = n_used
-            if state.complete:
-                completed[t] = True
-                _verify_resolution(state, switch_ids[t])
-            elif n_used >= cap:
-                used[t] = cap
-                _verify_resolution(state, switch_ids[t])
-            else:
-                still.append(t)
+        for c0 in range(0, len(active), chunk):
+            batch = active[c0:c0 + chunk]
+            # Raw 64-bit draws: the same values as integers(0, 2**64, dtype=uint64).
+            pids = np.concatenate([rngs[t].bit_generator.random_raw(block) for t in batch])
+            members = xor_members(scheme.actions(k, pids))
+            masks = masks_from_members(members)
+            for row, t in enumerate(batch):
+                lo = row * block
+                vals = _codeword_values(members[lo:lo + block], switch_ids[t]).tolist()
+                state = states[t]
+                resolved = state.resolved
+                n_used = int(used[t])
+                for j in range(block):
+                    m = masks[lo + j]
+                    if m == 0 and not scheme.counts_empty:
+                        continue
+                    state.insert(m, vals[j])
+                    n_used += 1
+                    if len(resolved) == k or n_used >= cap:
+                        break
+                used[t] = n_used
+                if state.complete:
+                    completed[t] = True
+                    _verify_resolution(state, switch_ids[t])
+                elif n_used >= cap:
+                    used[t] = cap
+                    _verify_resolution(state, switch_ids[t])
+                else:
+                    still.append(t)
         active = still
     return used, completed
 
@@ -418,11 +363,6 @@ def tune_pint(K: int, tune_k: int = None, trials: int = 400, seed: int = 0,
     return PintParams(best[0], best[1]), results
 
 
-def pint_scheme_for(K: int, params: PintParams, seed: int = 0,
-                    empty_policy: str = "emit") -> PintScheme:
-    return PintScheme(params, seed=seed, empty_policy=empty_policy, K=K)
-
-
 def degree_histogram(scheme, k: int, n_packets: int, seed: int) -> np.ndarray:
     """Empirical delivered-XOR-degree counts (index d-1 = degree d), from
     n_packets fresh packet ids.  Degree-0 deliveries (PINT binomial branch)
@@ -433,24 +373,10 @@ def degree_histogram(scheme, k: int, n_packets: int, seed: int) -> np.ndarray:
     remaining = n_packets
     while remaining > 0:
         n = min(chunk, remaining)
-        masks = scheme.generate_masks(k, rng.integers(0, 2**64, size=n, dtype=_U64))
-        if isinstance(masks, np.ndarray):
-            degrees = _popcount_u64(masks)
-        else:
-            degrees = np.array([m.bit_count() for m in masks])
-        got = np.bincount(degrees, minlength=k + 1)[1:k + 1]
-        counts += got
+        members = xor_members(scheme.actions(k, rng.integers(0, 2**64, size=n, dtype=_U64)))
+        counts += np.bincount(members.sum(axis=1), minlength=k + 1)[1:]
         remaining -= n
     return counts
-
-
-def _popcount_u64(x: np.ndarray) -> np.ndarray:
-    out = np.zeros(x.shape, dtype=np.int64)
-    x = x.copy()
-    while x.any():
-        out += (x & _U64(1)).astype(np.int64)
-        x >>= _U64(1)
-    return out
 
 
 # ---------------------------------------------------------------------------

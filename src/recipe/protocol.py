@@ -17,7 +17,6 @@ box computing identical values.
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from dataclasses import dataclass, replace
 
@@ -177,6 +176,59 @@ def step_recipe_d(pkt: Packet, my_id: int, apa: Apa, gh: GlobalHash) -> Packet:
     )
 
 
+def recipe_d_actions(apa: Apa, gh: GlobalHash, k: int, pids: np.ndarray) -> np.ndarray:
+    """The action each of hops 1..k takes on each packet id, uint8[n, k].
+
+    The degree-based walk of `step_recipe_d`, vectorized over packets:
+    every hop draws nu = h(hop, packet) and applies the APA entry for the
+    packet's current degree.  Raises ProtocolError if a packet reaches a
+    state the APA marks unreachable.
+    """
+    if k > apa.K:
+        raise RangeError(f"path length {k} beyond diameter {apa.K}")
+    actions = np.empty((pids.size, k), dtype=np.uint8)
+    actions[:, 0] = REPLACE  # the APA's fixed hop-1 row (0, 0, 1)
+    degrees = np.ones(pids.size, dtype=np.int64)
+    for i in range(2, k + 1):
+        triples = apa.triples[i - 1]
+        p_add = triples[:, 0][degrees - 1]
+        if np.isnan(p_add).any():
+            raise ProtocolError(f"sampled an unreachable state at hop {i}")
+        nu = hash_uniform_array(gh, i, pids)
+        add = nu < p_add
+        rep = ~add & (nu < p_add + triples[:, 2][degrees - 1])
+        actions[:, i - 1] = np.where(add, ADD, np.where(rep, REPLACE, SKIP))
+        degrees = np.where(add, degrees + 1, np.where(rep, 1, degrees))
+    return actions
+
+
+def xor_members(actions: np.ndarray) -> np.ndarray:
+    """Which hops' IDs the delivered codewords carry, bool[n, k].
+
+    A codeword holds exactly the hops that acted (Add or Replace) at or
+    after its last Replace, or every acting hop if none replaced.
+    """
+    k = actions.shape[1]
+    replaced = actions[:, ::-1] == REPLACE
+    start = np.where(replaced.any(axis=1), k - 1 - replaced.argmax(axis=1), 0)
+    return (actions != SKIP) & (np.arange(k) >= start[:, None])
+
+
+def masks_from_members(members: np.ndarray) -> list[int]:
+    """Rows of a membership matrix as int bitmasks (bit h-1 = hop h).
+
+    Rows are packed into little-endian 64-bit words and folded from the
+    top word down, one column at a time, which costs far less per row
+    than building each int from its bytes.
+    """
+    octets = np.packbits(members, axis=1, bitorder="little")
+    words = np.pad(octets, ((0, 0), (0, -octets.shape[1] % 8))).view("<u8")
+    masks = words[:, -1].tolist()
+    for j in range(words.shape[1] - 2, -1, -1):
+        masks = [(m << 64) | w for m, w in zip(masks, words[:, j].tolist())]
+    return masks
+
+
 @dataclass(frozen=True)
 class Avst:
     """Action vector sample table: L independent sampled rows of the
@@ -212,32 +264,8 @@ def generate_avst(apa: Apa, L: int, seed: int) -> Avst:
     """
     if L < 1:
         raise RangeError(f"table must have at least one row, got L={L}")
-    gh = GlobalHash(seed)
-    ids = np.arange(L, dtype=np.uint64)
-    rows = np.empty((L, apa.K), dtype=np.uint8)
-    rows[:, 0] = REPLACE
-    degrees = np.ones(L, dtype=np.int64)
-    for i in range(2, apa.K + 1):
-        p_add, p_rep, reachable = _apa_threshold_arrays(apa, i)
-        if not reachable[degrees - 1].all():
-            raise ProtocolError(f"sampled an unreachable state at hop {i}")
-        nu = hash_uniform_array(gh, i, ids)
-        pa = p_add[degrees - 1]
-        add = nu < pa
-        rep = ~add & (nu < pa + p_rep[degrees - 1])
-        act = np.where(add, ADD, np.where(rep, REPLACE, SKIP)).astype(np.uint8)
-        rows[:, i - 1] = act
-        degrees = np.where(add, degrees + 1, np.where(rep, 1, degrees))
+    rows = recipe_d_actions(apa, GlobalHash(seed), apa.K, np.arange(L, dtype=np.uint64))
     return Avst(L, apa.K, rows, seed & _MASK64, apa.digest())
-
-
-def _apa_threshold_arrays(apa: Apa, i: int):
-    """(p_add[d-1], p_replace[d-1], reachable[d-1]) arrays for hop i."""
-    arr = apa.triples[i - 1]
-    reachable = ~np.isnan(arr[:, 0])
-    p_add = np.where(reachable, arr[:, 0], 0.0)
-    p_rep = np.where(reachable, arr[:, 2], 0.0)
-    return p_add, p_rep, reachable
 
 
 def step_recipe_t(pkt: Packet, my_id: int, avst: Avst, gh: GlobalHash) -> Packet:
@@ -292,7 +320,3 @@ def read_avst(path) -> Avst:
     if (flat > REPLACE).any():
         raise ConfigurationError("table contains a reserved action code")
     return Avst(L, K, flat.reshape(L, K), seed, digest.hex())
-
-
-def simulation_digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()

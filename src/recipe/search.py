@@ -43,6 +43,7 @@ from .decoder import PeelingState
 from .distributions import robust_soliton, expand_invariant, shifted_soliton
 from .errors import InternalConsistencyError, RangeError
 from .feasibility import check_feasible, _rhs_mu
+from .protocol import masks_from_members
 from .xdd import Xdd, XddSequence, binomial_log, sequence_from_masses
 
 # QPS keeps a floor under mu(1): the first decode requires Psuc_1 = mu(1),
@@ -470,24 +471,25 @@ class _ScoringBank:
         self.cap = max(cap_factor * m, 12)
         self.u = rng.random((trials, self.cap))
         orders = np.tile(np.arange(m, dtype=np.int16), (trials * self.cap, 1))
-        self.orders = rng.permuted(orders, axis=1).reshape(trials, self.cap, m)
+        orders = rng.permuted(orders, axis=1).reshape(trials, self.cap, m)
+        # ranks[t, c, h]: position of hop h in the order, so the degree-d
+        # XOR-set is the hops ranked below d.  Inverted one trial at a time
+        # to keep argsort's int64 temporaries small.
+        self.ranks = np.empty_like(orders)
+        for t in range(trials):
+            self.ranks[t] = np.argsort(orders[t], axis=1)
 
     def score(self, mass: np.ndarray) -> float:
         cdf = np.cumsum(mass)
         cdf[-1] = 1.0
         degrees = np.searchsorted(cdf, self.u, side="right") + 1
         np.clip(degrees, 1, self.m, out=degrees)
+        masks = masks_from_members((self.ranks < degrees[..., None]).reshape(-1, self.m))
         total = 0
         for t in range(self.trials):
             state = PeelingState(self.m)
             used = 0
-            row_deg = degrees[t]
-            row_ord = self.orders[t]
-            while used < self.cap:
-                d = row_deg[used]
-                mask = 0
-                for h in row_ord[used, :d]:
-                    mask |= 1 << int(h)
+            for mask in masks[t * self.cap:(t + 1) * self.cap]:
                 state.insert(mask, 0)
                 used += 1
                 if state.complete:

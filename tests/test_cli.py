@@ -145,6 +145,10 @@ def test_simulate_trace(tmp_path, capsys):
                            "--packets", "2", "--seed", "1")
     assert code == 0
     assert "hop 1" in out and "replayed XOR-set" in out
+    code, out, _ = run_cli(capsys, "simulate", "--pint-alpha", "0.5", "--pint-p", "0.5",
+                           "--k", "4", "--packets", "3", "--seed", "1")
+    assert code == 0
+    assert out.count("  hop ") == 3 * 4 and out.count("replayed XOR-set") == 3
 
 
 def test_search_subcommands(tmp_path, capsys):

@@ -17,7 +17,13 @@ from recipe.decoder import (
 )
 from recipe.distributions import PintParams, shifted_soliton_sequence
 from recipe.errors import DataCorruptionError, RangeError
-from recipe.evaluation import PintScheme, RecipeDScheme, RecipeTScheme
+from recipe.evaluation import (
+    PintScheme,
+    RecipeDScheme,
+    RecipeTScheme,
+    _codeword_values,
+    _draw_switch_ids,
+)
 from recipe.feasibility import derive_apa
 from recipe.protocol import (
     ADD,
@@ -28,6 +34,8 @@ from recipe.protocol import (
     Packet,
     generate_avst,
     step_recipe_d,
+    step_recipe_t,
+    xor_members,
 )
 
 from oracles import two_hop_expected_used
@@ -67,45 +75,45 @@ def test_replay_recipe_d_equals_encoder_trace():
         assert pkt.degree_field == pkt.codeword.bit_count()
 
 
-def test_replay_matches_bulk_generators_all_modes():
-    k = 7
-    seq = shifted_soliton_sequence(k)
-    apa = derive_apa(seq)
-    rng = np.random.default_rng(1)
-    ids = rng.integers(0, 2**64, size=4000, dtype=np.uint64)
+def _fold(step, table, gh, packet_id, switch_ids):
+    pkt = Packet(packet_id=packet_id)
+    for switch_id in switch_ids:
+        pkt = step(pkt, switch_id, table, gh)
+    return pkt.codeword
 
-    d_scheme = RecipeDScheme(apa=apa, seed=23)
-    masks = d_scheme.generate_masks(k, ids)
-    for pid, m in zip(ids, masks):
-        assert int(m) == replay_xor_mask(int(pid), k, d_scheme.decode_mode())
 
+@pytest.mark.parametrize("k", [8, 64, 65, 236])
+def test_replay_matches_bulk_generators_all_modes(k):
+    # The vectorized action kernels against the normative scalar code, on
+    # both sides of the 64-hop word boundary and at the fragmented-ID
+    # diameter 236.  Folding the per-switch steps with switch ID 1 << (i-1)
+    # makes the delivered codeword the XOR-set mask itself; random 32-bit
+    # IDs check the codeword values the evaluation derives.
+    apa = derive_apa(shifted_soliton_sequence(k))
+    rng = np.random.default_rng(k)
+    pids = rng.integers(0, 2**64, size=max(100, 16000 // k), dtype=np.uint64)
+    switch_ids = _draw_switch_ids(rng, k)
+    bits = [1 << h for h in range(k)]
     avst = generate_avst(apa, 500, seed=9)
-    t_scheme = RecipeTScheme(avst, seed=23)
-    masks = t_scheme.generate_masks(k, ids)
-    for pid, m in zip(ids, masks):
-        assert int(m) == replay_xor_mask(int(pid), k, t_scheme.decode_mode())
-
-    p_scheme = PintScheme(PintParams(0.3, 0.2), seed=23, K=k)
-    masks = p_scheme.generate_masks(k, ids)
-    for pid, m in zip(ids, masks):
-        assert int(m) == replay_xor_mask(int(pid), k, p_scheme.decode_mode())
-
-
-def test_replay_bulk_consistency_beyond_64_hops():
-    # k > 64 switches the generators to the boolean-matrix path; the
-    # scalar replay is the reference for both.
-    k = 70
-    seq = shifted_soliton_sequence(k)
-    d_scheme = RecipeDScheme(seq=seq, seed=3)
-    rng = np.random.default_rng(2)
-    ids = rng.integers(0, 2**64, size=200, dtype=np.uint64)
-    masks = d_scheme.generate_masks(k, ids)
-    for pid, m in zip(ids, masks):
-        assert int(m) == replay_xor_mask(int(pid), k, d_scheme.decode_mode())
-    p_scheme = PintScheme(PintParams(0.25, 0.05), seed=3, K=k)
-    masks = p_scheme.generate_masks(k, ids)
-    for pid, m in zip(ids, masks):
-        assert int(m) == replay_xor_mask(int(pid), k, p_scheme.decode_mode())
+    schemes = [
+        (RecipeDScheme(apa=apa, seed=23), step_recipe_d, apa),
+        (RecipeTScheme(avst, seed=23), step_recipe_t, avst),
+        (PintScheme(PintParams(0.3, 2 / k), seed=23, K=k), None, None),
+    ]
+    for scheme, step, table in schemes:
+        mode = scheme.decode_mode()
+        masks = scheme.generate_masks(k, pids)
+        values = _codeword_values(xor_members(scheme.actions(k, pids)), switch_ids)
+        for pid, mask, value in zip(pids.tolist(), masks, values.tolist()):
+            assert mask == replay_xor_mask(pid, k, mode)
+            if step is None:
+                expected = 0
+                for h in hops_from_mask(mask):
+                    expected ^= int(switch_ids[h - 1])
+            else:
+                assert _fold(step, table, mode.gh, pid, bits) == mask
+                expected = _fold(step, table, mode.gh, pid, switch_ids.tolist())
+            assert value == expected
 
 
 def test_replay_reservoir_branch_is_single_uniformish_hop():
@@ -142,6 +150,7 @@ def test_peel_cascade_through_pending_pair():
     newly = peel_insert(state, ReceivedCodeword(2, 2, b, {2}))
     assert sorted(newly) == [1, 2]
     assert state.resolved == {1: a, 2: b}
+    assert state.pending_count() == 0
 
 
 def test_peel_high_degree_just_parks():
