@@ -33,6 +33,7 @@ from .distributions import (
     shifted_soliton_sequence,
 )
 from .errors import (
+    ConfigurationError,
     InfeasibleSequenceError,
     RangeError,
     RecipeError,
@@ -57,6 +58,7 @@ from .protocol import (
     generate_avst,
     hash_uniform,
     read_avst,
+    row_select,
     write_avst,
 )
 from .search import SearchConfig, hrs_search, qps_search
@@ -103,25 +105,22 @@ def _write_manifest(out_path: str, args, inputs: list[str]) -> None:
 
 def _scheme_from_args(args, K: int):
     """Build the scheme named by --apa/--seq/--avst/--pint-* flags."""
-    chosen = [bool(getattr(args, "apa", None) or getattr(args, "seq", None)),
-              bool(getattr(args, "avst", None)),
-              getattr(args, "pint_alpha", None) is not None]
-    if sum(chosen) != 1:
+    chosen = {"recipe-d": bool(getattr(args, "apa", None) or getattr(args, "seq", None)),
+              "recipe-t": bool(getattr(args, "avst", None)),
+              "pint": getattr(args, "pint_alpha", None) is not None}
+    if sum(chosen.values()) != 1:
         raise RangeError("exactly one of --seq/--apa, --avst, or --pint-alpha/--pint-p required")
+    kind = next(name for name, given in chosen.items() if given)
     mode = getattr(args, "mode", None)
-    if getattr(args, "avst", None):
-        if mode and mode != "recipe-t":
-            raise RangeError(f"--mode {mode} but a table artifact was given")
+    if mode and mode != kind:
+        raise ConfigurationError(f"--mode {mode} does not match the {kind} artifacts given")
+    if kind == "recipe-t":
         return RecipeTScheme(read_avst(args.avst), seed=args.seed)
-    if getattr(args, "pint_alpha", None) is not None:
-        if mode and mode != "pint":
-            raise RangeError(f"--mode {mode} but PINT parameters were given")
+    if kind == "pint":
         if getattr(args, "pint_p", None) is None:
             raise RangeError("--pint-alpha needs --pint-p")
         params = PintParams(args.pint_alpha, args.pint_p)
         return PintScheme(params, seed=args.seed, K=K)
-    if mode and mode != "recipe-d":
-        raise RangeError(f"--mode {mode} but a sequence/APA artifact was given")
     apa = read_apa(args.apa) if getattr(args, "apa", None) else derive_apa(read_sequence(args.seq))
     return RecipeDScheme(apa=apa, seed=args.seed)
 
@@ -201,16 +200,20 @@ def _cmd_simulate(args) -> int:
     rng = np.random.default_rng(args.seed)
     switch_ids = [int(v) for v in _draw_switch_ids(rng, args.k)]
     print(f"switch IDs: {[hex(v) for v in switch_ids]}")
+    # A table-based packet's actions are decided by its row; the other
+    # protocols draw nu = h(hop, packet) at every hop.
+    table = getattr(scheme, "avst", None)
     for n in range(args.packets):
         pid = int(rng.integers(0, 2**64, dtype=np.uint64))
-        print(f"packet {n}: id={pid:#018x}")
-        row = scheme.actions(args.k, np.array([pid], dtype=np.uint64))[0]
+        row = f" row={row_select(scheme.gh, pid, table.L)}" if table is not None else ""
+        print(f"packet {n}: id={pid:#018x}{row}")
+        actions = scheme.actions(args.k, np.array([pid], dtype=np.uint64))[0]
         codeword, degree = 0, 0
-        for i, (action, switch_id) in enumerate(zip(row.tolist(), switch_ids), start=1):
+        for i, (action, switch_id) in enumerate(zip(actions.tolist(), switch_ids), start=1):
             codeword = _apply_action(action, codeword, switch_id)
             degree = degree + 1 if action == ADD else (1 if action == REPLACE else degree)
-            nu = hash_uniform(scheme.gh, i, pid)
-            print(f"  hop {i}: nu={nu:.6f} action={ACTION_NAMES[action]} "
+            nu = "" if table is not None else f"nu={hash_uniform(scheme.gh, i, pid):.6f} "
+            print(f"  hop {i}: {nu}action={ACTION_NAMES[action]} "
                   f"codeword={codeword:#x} d={degree}")
         replayed = sorted(replay_xor_set(pid, args.k, mode))
         print(f"  delivered codeword={codeword:#x}; replayed XOR-set={replayed}")
@@ -378,7 +381,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("decode", help="decode a JSONL codeword stream")
     add_scheme_flags(p)
     p.add_argument("--mode", choices=["recipe-d", "recipe-t", "pint"],
-                   help="optional cross-check against the provided artifacts")
+                   help="the protocol the artifacts must be for; a mismatch decodes nothing")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--in", dest="input", required=True,
                    help="one {\"packet_id\":..,\"codeword\":..} per line")

@@ -15,16 +15,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .distributions import PintParams
-from .errors import ConfigurationError, DataCorruptionError, RangeError
+from .errors import ConfigurationError, DataCorruptionError, ProtocolError, RangeError
 from .feasibility import Apa
 from .protocol import (
+    _MASK64,
     ADD,
     REPLACE,
     Avst,
     GlobalHash,
-    _choose_action,
-    hash_uniform,
+    hash_uniform_array,
     row_select,
 )
 
@@ -35,10 +37,52 @@ PINT_BRANCH_HOP = 0
 
 @dataclass(frozen=True)
 class RecipeDMode:
-    """Decode context for degree-based encoding: the APA and shared key."""
+    """Decode context for degree-based encoding: the APA and shared key.
+
+    Construction flattens the APA into per-hop Python-float thresholds:
+    for hop i, p_add and p_add + p_replace indexed by incoming degree,
+    with hop 1's fixed (0, 0, 1) row at degree 0 and NaN where the APA
+    marks a state unreachable.
+    """
 
     apa: Apa
     gh: GlobalHash
+    _hops: np.ndarray = field(init=False, repr=False, compare=False)
+    _bits: list = field(init=False, repr=False, compare=False)
+    _p_add: list = field(init=False, repr=False, compare=False)
+    _p_add_rep: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        K = self.apa.K
+        p_add, p_add_rep = [[0.0]], [[1.0]]
+        for triples in self.apa.triples[1:]:
+            p_add.append([np.nan] + triples[:, 0].tolist())
+            p_add_rep.append([np.nan] + (triples[:, 0] + triples[:, 2]).tolist())
+        object.__setattr__(self, "_hops", np.arange(1, K + 1, dtype=np.uint64))
+        object.__setattr__(self, "_bits", [1 << (i - 1) for i in range(1, K + 1)])
+        object.__setattr__(self, "_p_add", p_add)
+        object.__setattr__(self, "_p_add_rep", p_add_rep)
+
+    def replay(self, packet_id: int, k: int) -> int:
+        """The degree walk of `step_recipe_d` over hops 1..k of one packet,
+        with every hop's draw hashed in one call."""
+        if k > self.apa.K:
+            raise RangeError(f"path length {k} beyond diameter {self.apa.K}")
+        nus = hash_uniform_array(self.gh, self._hops[:max(k, 0)], packet_id & _MASK64)
+        mask, d = 0, 0
+        for bit, nu, p_add, p_add_rep in zip(self._bits, nus.tolist(),
+                                             self._p_add, self._p_add_rep):
+            threshold = p_add[d]
+            if nu < threshold:
+                mask |= bit
+                d += 1
+            elif nu < p_add_rep[d]:
+                mask = bit
+                d = 1
+            elif threshold != threshold:  # NaN: both comparisons were false
+                raise ProtocolError(
+                    f"unreachable APA entry consulted at (i={bit.bit_length()}, d={d})")
+        return mask
 
 
 @dataclass(frozen=True)
@@ -51,6 +95,19 @@ class RecipeTMode:
     def require_matches(self, apa: Apa) -> None:
         self.avst.verify_digest(apa)
 
+    def replay(self, packet_id: int, k: int) -> int:
+        """Hops 1..k of the packet's table row: no per-hop draw."""
+        if k > self.avst.K:
+            raise RangeError(f"path length {k} beyond diameter {self.avst.K}")
+        row = self.avst.rows[row_select(self.gh, packet_id, self.avst.L), :max(k, 0)]
+        mask = 0
+        for h, action in enumerate(row.tolist()):
+            if action == ADD:
+                mask |= 1 << h
+            elif action == REPLACE:
+                mask = 1 << h
+        return mask
+
 
 @dataclass(frozen=True)
 class PintMode:
@@ -58,6 +115,26 @@ class PintMode:
 
     params: PintParams
     gh: GlobalHash
+
+    def replay(self, packet_id: int, k: int) -> int:
+        """Hash the branch hop 0 and hops 1..k in one call.  Reservoir
+        branch: the last hop i with u_i < 1/i holds the slot (hop 1 always
+        qualifies).  Binomial branch: every hop with u_i < p, possibly none."""
+        hops = np.arange(max(k, 0) + 1, dtype=np.uint64)
+        u = hash_uniform_array(self.gh, hops, packet_id & _MASK64)
+        if u[0] < self.params.alpha:
+            hits = _pack_bits(u[1:] < 1.0 / hops[1:])
+            return 1 << max(hits.bit_length() - 1, 0)
+        return _pack_bits(u[1:] < self.params.p)
+
+
+def _pack_bits(flags: np.ndarray) -> int:
+    """A bool vector as an int bitmask, flags[h] -> bit h.
+
+    The one-row case of `masks_from_members`, without its word padding and
+    fold, which cost about ten times as much for a single row.
+    """
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
 def mask_from_hops(hops) -> int:
@@ -77,49 +154,15 @@ def hops_from_mask(mask: int) -> frozenset[int]:
 
 
 def replay_xor_mask(packet_id: int, k: int, mode) -> int:
-    """Reconstruct the XOR-set (as a bitmask) of one delivered codeword."""
-    if isinstance(mode, RecipeDMode):
-        if k > mode.apa.K:
-            raise RangeError(f"path length {k} beyond diameter {mode.apa.K}")
-        mask, d = 0, 0
-        for i in range(1, k + 1):
-            triple = (0.0, 0.0, 1.0) if i == 1 else mode.apa.entry(i, d)
-            nu = hash_uniform(mode.gh, i, packet_id)
-            action = _choose_action(triple, nu)
-            if action == ADD:
-                mask |= 1 << (i - 1)
-                d += 1
-            elif action == REPLACE:
-                mask = 1 << (i - 1)
-                d = 1
-        return mask
-    if isinstance(mode, RecipeTMode):
-        if k > mode.avst.K:
-            raise RangeError(f"path length {k} beyond diameter {mode.avst.K}")
-        row = mode.avst.rows[row_select(mode.gh, packet_id, mode.avst.L)]
-        mask = 0
-        for i in range(1, k + 1):
-            action = int(row[i - 1])
-            if action == ADD:
-                mask |= 1 << (i - 1)
-            elif action == REPLACE:
-                mask = 1 << (i - 1)
-        return mask
-    if isinstance(mode, PintMode):
-        branch = hash_uniform(mode.gh, PINT_BRANCH_HOP, packet_id)
-        if branch < mode.params.alpha:
-            # Reservoir sampling: hop i overwrites with probability 1/i.
-            keep = 1
-            for i in range(2, k + 1):
-                if hash_uniform(mode.gh, i, packet_id) < 1.0 / i:
-                    keep = i
-            return 1 << (keep - 1)
-        mask = 0
-        for i in range(1, k + 1):
-            if hash_uniform(mode.gh, i, packet_id) < mode.params.p:
-                mask |= 1 << (i - 1)
-        return mask  # may be empty: no switch flipped its coin
-    raise ConfigurationError(f"unknown decode mode {mode!r}")
+    """Reconstruct the XOR-set (as a bitmask) of one delivered codeword.
+
+    Packet ids are taken mod 2^64, as the switches' hash takes them.
+    """
+    try:
+        replay = mode.replay
+    except AttributeError:
+        raise ConfigurationError(f"unknown decode mode {mode!r}") from None
+    return replay(packet_id, k)
 
 
 def replay_xor_set(packet_id: int, k: int, mode) -> frozenset[int]:

@@ -33,6 +33,9 @@ _MIX2 = 0x94D049BB133111EB
 # Domain separation: the row-selection hash g is the packet hash h keyed
 # with seed XOR this constant.
 ROW_SELECT_SALT = 0xC2B2AE3D27D4EB4F
+# The same constants as numpy scalars, for the vectorized hash.
+_U64_GOLDEN, _U64_MIX1, _U64_MIX2 = (np.uint64(c) for c in (_GOLDEN, _MIX1, _MIX2))
+_U64_11, _U64_27, _U64_30, _U64_31 = (np.uint64(c) for c in (11, 27, 30, 31))
 
 # Action codes, also the 2-bit on-disk encoding (3 is reserved).
 SKIP, ADD, REPLACE = 0, 1, 2
@@ -73,16 +76,25 @@ def hash_uniform(gh: GlobalHash, hop: int, packet_id: int) -> float:
     return (_mix64(x) >> 11) * 2.0**-53
 
 
-def hash_uniform_array(gh: GlobalHash, hop: int, packet_ids: np.ndarray) -> np.ndarray:
-    """Vectorized hash_uniform over a uint64 array of packet ids."""
-    with np.errstate(over="ignore"):
-        x = packet_ids.astype(np.uint64) ^ np.uint64(gh.seed ^ ((hop * _GOLDEN) & _MASK64))
-        x ^= x >> np.uint64(30)
-        x *= np.uint64(_MIX1)
-        x ^= x >> np.uint64(27)
-        x *= np.uint64(_MIX2)
-        x ^= x >> np.uint64(31)
-    return (x >> np.uint64(11)) * 2.0**-53
+def hash_uniform_array(gh: GlobalHash, hop, packet_ids) -> np.ndarray:
+    """Vectorized hash_uniform, broadcast over hop and packet ids.
+
+    Either an int hop against a uint64 array of packet ids (one hop of
+    many packets) or a uint64 array of hops against one packet id, given
+    as an int in [0, 2^64) (every hop of one packet).  The operands are
+    arrays, whose integer arithmetic wraps mod 2^64 without a warning.
+    """
+    if isinstance(hop, np.ndarray):
+        key = np.uint64(gh.seed) ^ (hop * _U64_GOLDEN)
+    else:
+        key = np.uint64(gh.seed ^ ((hop * _GOLDEN) & _MASK64))
+    x = np.asarray(packet_ids, dtype=np.uint64) ^ key
+    x ^= x >> _U64_30
+    x *= _U64_MIX1
+    x ^= x >> _U64_27
+    x *= _U64_MIX2
+    x ^= x >> _U64_31
+    return (x >> _U64_11) * 2.0**-53
 
 
 def row_select(gh: GlobalHash, packet_id: int, L: int) -> int:

@@ -2,11 +2,11 @@
 
 The encoders may be restructured freely, but for a fixed seed these bytes
 must not move: curve CSVs (degree-based at the paper's K=59, table-based
-and PINT across the 64-hop word boundary), an action table file, and the
-XOR-set masks of every scheme at k = 64 and 65, and a backward (HRS)
-search's sequence and per-hop scores.  A digest changes only
-with a deliberate change to an output format or to the sampling, and is
-then re-pinned in the same change.
+and PINT across the 64-hop word boundary), an action table file, the
+XOR-set masks of every scheme at k = 64 and 65 (as generated and as
+replayed at the destination), and a backward (HRS) search's sequence and
+per-hop scores.  A digest changes only with a deliberate change to an
+output format or to the sampling, and is then re-pinned in the same change.
 """
 
 import hashlib
@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from recipe.cli import main
+from recipe.decoder import replay_xor_mask
 from recipe.distributions import PintParams
 from recipe.evaluation import PintScheme, RecipeDScheme, RecipeTScheme
 from recipe.feasibility import read_apa
@@ -79,8 +80,12 @@ def test_generate_masks_ints_pinned(artifacts, k):
                RecipeTScheme(read_avst(artifacts / "t70.avst"), seed=5),
                PintScheme(PintParams(0.3, 2 / 70), seed=5, K=70)]
     pids = np.random.default_rng(k).integers(0, 2**64, size=500, dtype=np.uint64)
-    text = "\n".join(str(int(m)) for s in schemes for m in s.generate_masks(k, pids))
+    masks = [s.generate_masks(k, pids) for s in schemes]
+    text = "\n".join(str(int(m)) for scheme_masks in masks for m in scheme_masks)
     assert _sha(text.encode()) == MASKS_SHA[k]
+    for scheme, scheme_masks in zip(schemes, masks):
+        mode = scheme.decode_mode()
+        assert [replay_xor_mask(pid, k, mode) for pid in pids.tolist()] == scheme_masks
 
 
 def test_hrs_search_sequence_and_scores_pinned():

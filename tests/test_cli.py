@@ -109,7 +109,8 @@ def test_evaluate_requires_exactly_one_scheme(tmp_path, capsys):
     assert "exactly one" in err
 
 
-def test_decode_stream_cli(tmp_path, capsys):
+def _recipe_d_stream(tmp_path, capsys):
+    """A K=3 sequence file and a 40-codeword stream for it, seed 5."""
     ss = tmp_path / "ss.json"
     run_cli(capsys, "dist", "shifted-soliton", "--K", "3", "-o", str(ss))
     seq = read_sequence(ss)
@@ -130,12 +131,35 @@ def test_decode_stream_cli(tmp_path, capsys):
         n += 1
     stream = tmp_path / "cw.jsonl"
     stream.write_text("\n".join(lines) + "\n")
+    return ss, stream
+
+
+def test_decode_stream_cli(tmp_path, capsys):
+    ss, stream = _recipe_d_stream(tmp_path, capsys)
     code, out, _ = run_cli(capsys, "decode", "--seq", str(ss), "--k", "3",
                            "--in", str(stream), "--seed", "5")
     assert code == 0
     doc = json.loads(out)
     assert doc["complete"] is True
     assert doc["resolved"] == {"1": 0x101, "2": 0x202, "3": 0x303}
+
+
+def test_decode_mode_agreeing_with_artifacts_decodes(tmp_path, capsys):
+    ss, stream = _recipe_d_stream(tmp_path, capsys)
+    code, out, _ = run_cli(capsys, "decode", "--seq", str(ss), "--mode", "recipe-d",
+                           "--k", "3", "--in", str(stream), "--seed", "5")
+    assert code == 0
+    assert json.loads(out)["resolved"] == {"1": 0x101, "2": 0x202, "3": 0x303}
+
+
+def test_decode_mode_disagreeing_with_artifacts_decodes_nothing(tmp_path, capsys):
+    ss, stream = _recipe_d_stream(tmp_path, capsys)
+    for mode in ("recipe-t", "pint"):
+        code, out, err = run_cli(capsys, "decode", "--seq", str(ss), "--mode", mode,
+                                 "--k", "3", "--in", str(stream), "--seed", "5")
+        assert code == 3  # ConfigurationError
+        assert out == ""
+        assert f"--mode {mode} does not match the recipe-d artifacts" in err
 
 
 def test_simulate_trace(tmp_path, capsys):
@@ -149,6 +173,18 @@ def test_simulate_trace(tmp_path, capsys):
                            "--k", "4", "--packets", "3", "--seed", "1")
     assert code == 0
     assert out.count("  hop ") == 3 * 4 and out.count("replayed XOR-set") == 3
+    assert out.count("nu=") == 3 * 4 and "row=" not in out
+    # Table-based hops read the packet's row, so the row is printed once per
+    # packet and no per-hop draw is.
+    apa, table = tmp_path / "apa.json", tmp_path / "t.avst"
+    run_cli(capsys, "derive-apa", str(ss), "-o", str(apa))
+    run_cli(capsys, "gen-avst", "--apa", str(apa), "--L", "50", "--seed", "2",
+            "-o", str(table))
+    code, out, _ = run_cli(capsys, "simulate", "--avst", str(table), "--k", "3",
+                           "--packets", "2", "--seed", "1")
+    assert code == 0
+    assert out.count("  hop ") == 2 * 3 and out.count(" row=") == 2
+    assert "nu=" not in out
 
 
 def test_search_subcommands(tmp_path, capsys):

@@ -16,7 +16,7 @@ from recipe.decoder import (
     replay_xor_set,
 )
 from recipe.distributions import PintParams, shifted_soliton_sequence
-from recipe.errors import DataCorruptionError, RangeError
+from recipe.errors import ConfigurationError, DataCorruptionError, ProtocolError, RangeError
 from recipe.evaluation import (
     PintScheme,
     RecipeDScheme,
@@ -24,7 +24,7 @@ from recipe.evaluation import (
     _codeword_values,
     _draw_switch_ids,
 )
-from recipe.feasibility import derive_apa
+from recipe.feasibility import Apa, derive_apa
 from recipe.protocol import (
     ADD,
     REPLACE,
@@ -82,7 +82,7 @@ def _fold(step, table, gh, packet_id, switch_ids):
     return pkt.codeword
 
 
-@pytest.mark.parametrize("k", [8, 64, 65, 236])
+@pytest.mark.parametrize("k", [8, 64, 65, 118, 236])
 def test_replay_matches_bulk_generators_all_modes(k):
     # The vectorized action kernels against the normative scalar code, on
     # both sides of the 64-hop word boundary and at the fragmented-ID
@@ -134,6 +134,33 @@ def test_replay_range_errors():
     mode = RecipeDMode(apa, GlobalHash(0))
     with pytest.raises(RangeError):
         replay_xor_mask(1, 4, mode)
+    with pytest.raises(ConfigurationError):
+        replay_xor_mask(1, 3, apa)  # an APA is not a decode mode
+
+
+def test_replay_raises_on_unreachable_apa_entry():
+    # Hop 2 always adds, so hop 3 is entered at degree 2, whose row is NaN.
+    nan = float("nan")
+    apa = Apa(3, ([[0.0, 0.0, 1.0]], [[1.0, 0.0, 0.0]],
+                  [[0.0, 1.0, 0.0], [nan, nan, nan]]))
+    mode = RecipeDMode(apa, GlobalHash(0))
+    for pid in (0, 7, 2**64 - 1):
+        assert replay_xor_mask(pid, 2, mode) == 0b11
+        with pytest.raises(ProtocolError):
+            replay_xor_mask(pid, 3, mode)
+
+
+def test_replay_takes_packet_ids_mod_2_64():
+    K = 10
+    apa = derive_apa(shifted_soliton_sequence(K))
+    gh = GlobalHash(17)
+    modes = [RecipeDMode(apa, gh), RecipeTMode(generate_avst(apa, 50, seed=4), gh),
+             PintMode(PintParams(0.5, 0.3), gh)]
+    pids = np.random.default_rng(8).integers(0, 2**64, size=50, dtype=np.uint64).tolist()
+    for mode in modes:
+        assert replay_xor_mask(-1, K, mode) == replay_xor_mask(2**64 - 1, K, mode)
+        for pid in [0, 2**64 - 1] + pids:
+            assert replay_xor_mask(pid + 2**64, K, mode) == replay_xor_mask(pid, K, mode)
 
 
 def test_peel_degree_one_resolves_directly():

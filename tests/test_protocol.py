@@ -42,6 +42,11 @@ def test_hash_uniform_scalar_matches_vectorized():
         vec = hash_uniform_array(gh, hop, ids)
         scalars = np.array([hash_uniform(gh, hop, int(i)) for i in ids])
         assert np.array_equal(vec, scalars)
+    # Every hop of one packet in one call, across the uint64 range of hops.
+    hops = np.array([0, 1, 7, 236, 2**40 + 3, 2**64 - 1], dtype=np.uint64)
+    for pid in (0, 2**64 - 1, int(ids[0])):
+        vec = hash_uniform_array(gh, hops, pid)
+        assert vec.tolist() == [hash_uniform(gh, int(h), pid) for h in hops]
 
 
 def test_hash_uniform_mean():
