@@ -12,6 +12,7 @@ from recipe import (
     ReceivedCodeword,
     RecipeDScheme,
     decode_stream,
+    derive_apa,
     replay_xor_set,
     shifted_soliton_sequence,
 )
@@ -22,11 +23,10 @@ print("Hash replay: the decoder reconstructs every XOR-set")
 print("=" * 72)
 k = 5
 seq = shifted_soliton_sequence(k)
-scheme = RecipeDScheme(seq=seq, seed=99)
-mode = scheme.decode_mode()
+scheme = RecipeDScheme(derive_apa(seq), seed=99)
 rng = np.random.default_rng(1)
 for pid in rng.integers(0, 2**64, size=4, dtype=np.uint64):
-    hops = sorted(replay_xor_set(int(pid), k, mode))
+    hops = sorted(replay_xor_set(int(pid), k, scheme))
     print(f"  packet 0x{int(pid):016x} -> XOR-set {hops}")
 
 print()
@@ -56,7 +56,7 @@ def deliveries():
     while True:
         pid = int(rng.integers(0, 2**64, dtype=np.uint64))
         mask = 0
-        for h in replay_xor_set(pid, k, mode):
+        for h in replay_xor_set(pid, k, scheme):
             mask |= 1 << (h - 1)
         value = 0
         for h in range(k):

@@ -28,16 +28,15 @@ print(f"tuning the PINT baseline for diameter {K} (typical path length {K // 2})
 params, _ = tune_pint(K, trials=200, seed=SEED)
 print(f"  tuned: alpha={params.alpha:g}, p={params.p:.4f}")
 
-schemes = [
-    PintScheme(params, seed=SEED, K=K, label="pint-tuned"),
-    RecipeDScheme(seq=shifted_soliton_sequence(K), seed=SEED, label="shifted-soliton"),
-    RecipeDScheme(seq=qps_search(K, SearchConfig(restarts=4, seed=SEED)),
-                  seed=SEED, label="qps"),
-]
-
 apa = derive_apa(shifted_soliton_sequence(K))
 avst = generate_avst(apa, L=30000, seed=SEED)
-schemes.append(RecipeTScheme(avst, seed=SEED, label="shifted-soliton-t30000"))
+schemes = [
+    PintScheme(params, seed=SEED, K=K, label="pint-tuned"),
+    RecipeDScheme(apa, seed=SEED, label="shifted-soliton"),
+    RecipeDScheme(derive_apa(qps_search(K, SearchConfig(restarts=4, seed=SEED))),
+                  seed=SEED, label="qps"),
+    RecipeTScheme(avst, seed=SEED, label="shifted-soliton-t30000"),
+]
 
 curves = [efficiency_curve(s, K, TRIALS, SEED, ks=KS) for s in schemes]
 

@@ -57,10 +57,7 @@ from .protocol import (  # noqa: F401
 from .decoder import (  # noqa: F401
     DecodeResult,
     PeelingState,
-    PintMode,
     ReceivedCodeword,
-    RecipeDMode,
-    RecipeTMode,
     decode_stream,
     peel_insert,
     replay_xor_set,

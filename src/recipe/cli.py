@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 usage error, 2 validation/feasibility error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -196,7 +197,6 @@ def _cmd_gen_avst(args) -> int:
 
 def _cmd_simulate(args) -> int:
     scheme = _scheme_from_args(args, args.k)
-    mode = scheme.decode_mode()
     rng = np.random.default_rng(args.seed)
     switch_ids = [int(v) for v in _draw_switch_ids(rng, args.k)]
     print(f"switch IDs: {[hex(v) for v in switch_ids]}")
@@ -215,14 +215,13 @@ def _cmd_simulate(args) -> int:
             nu = "" if table is not None else f"nu={hash_uniform(scheme.gh, i, pid):.6f} "
             print(f"  hop {i}: {nu}action={ACTION_NAMES[action]} "
                   f"codeword={codeword:#x} d={degree}")
-        replayed = sorted(replay_xor_set(pid, args.k, mode))
+        replayed = sorted(replay_xor_set(pid, args.k, scheme))
         print(f"  delivered codeword={codeword:#x}; replayed XOR-set={replayed}")
     return EXIT_OK
 
 
 def _cmd_decode(args) -> int:
     scheme = _scheme_from_args(args, args.k)
-    mode = scheme.decode_mode()
 
     def stream():
         with open(args.input, "r", encoding="utf-8") as fh:
@@ -232,7 +231,7 @@ def _cmd_decode(args) -> int:
                 doc = json.loads(line)
                 pid = int(doc["packet_id"])
                 yield ReceivedCodeword(pid, args.k, int(doc["codeword"]),
-                                       replay_xor_mask(pid, args.k, mode))
+                                       replay_xor_mask(pid, args.k, scheme))
 
     result = decode_stream(stream(), args.k)
     out = {
@@ -277,7 +276,7 @@ def _cmd_search(args) -> int:
 def _cmd_evaluate(args) -> int:
     scheme = _scheme_from_args(args, args.K)
     if args.label:
-        scheme.label = args.label
+        scheme = dataclasses.replace(scheme, label=args.label)
     ks = None
     if args.ks:
         ks = sorted({int(x) for x in args.ks.split(",")})

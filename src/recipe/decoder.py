@@ -9,6 +9,10 @@ unknown member resolves that hop and cascades.
 
 XOR-sets are carried as integer bitmasks (bit h-1 set means hop h is in
 the set); helpers convert to and from explicit hop sets at the API edge.
+
+The protocol classes live here too, one per protocol: the destination's
+replay and the evaluation's batch encoder are two methods of one object,
+so both always apply the same artifact under the same key.
 """
 
 from __future__ import annotations
@@ -27,32 +31,70 @@ from .protocol import (
     Avst,
     GlobalHash,
     hash_uniform_array,
+    masks_from_members,
+    pint_actions,
+    recipe_d_actions,
     row_select,
+    row_select_array,
+    xor_members,
 )
 
-# Hash domain layout: hop 0 carries per-packet branch decisions (PINT
-# mixture), hops >= 1 carry per-switch decisions.
-PINT_BRANCH_HOP = 0
+# ---------------------------------------------------------------------------
+# Protocols: one frozen object each, holding the artifact (APA, table or
+# PINT parameters), the network key `gh`, a `label` and the diameter `K`.
+# `seed` takes the key as an int or a GlobalHash and is kept as the int.
+# Each object gives two views of the same per-hop rule:
+#   actions(k, pids) -> uint8[n, k], the Skip/Add/Replace code every hop of
+#     a length-k path applies to each of many packets: the batch encoder
+#     the evaluation runs, from which `xor_members` reads XOR-sets,
+#     codeword values and degrees;
+#   replay(packet_id, k) -> int, one packet's XOR-set as a bitmask: the
+#     destination's replay.  For a single packet the batch kernel's numpy
+#     calls per hop cost 10-100 times this scalar walk; for thousands of
+#     packets the walk costs about 10 times the kernel.
+
+
+class _Protocol:
+    def _set_key(self) -> None:
+        gh = self.seed if isinstance(self.seed, GlobalHash) else GlobalHash(self.seed)
+        object.__setattr__(self, "seed", gh.seed)
+        object.__setattr__(self, "gh", gh)
+
+    def _check_length(self, k: int) -> None:
+        if k > self.K:
+            raise RangeError(f"path length {k} beyond diameter {self.K}")
+
+    def decode_mode(self):
+        """The destination's view, which is the object itself."""
+        return self
+
+    def generate_masks(self, k: int, pids: np.ndarray) -> list[int]:
+        """XOR-set bitmask (bit h-1 = hop h) of each packet's codeword."""
+        return masks_from_members(xor_members(self.actions(k, pids)))
 
 
 @dataclass(frozen=True)
-class RecipeDMode:
-    """Decode context for degree-based encoding: the APA and shared key.
+class RecipeDScheme(_Protocol):
+    """Degree-based protocol: every switch applies the APA entry for the
+    packet's hop and current degree, drawn by nu = h(hop, packet).
 
-    Construction flattens the APA into per-hop Python-float thresholds:
-    for hop i, p_add and p_add + p_replace indexed by incoming degree,
-    with hop 1's fixed (0, 0, 1) row at degree 0 and NaN where the APA
-    marks a state unreachable.
+    Construction flattens the APA into per-hop Python-float thresholds for
+    replay: for hop i, p_add and p_add + p_replace indexed by incoming
+    degree, with hop 1's fixed (0, 0, 1) row at degree 0 and NaN where the
+    APA marks a state unreachable.
     """
 
     apa: Apa
-    gh: GlobalHash
+    seed: int = 0
+    label: str = "recipe-d"
+    gh: GlobalHash = field(init=False, repr=False, compare=False)
     _hops: np.ndarray = field(init=False, repr=False, compare=False)
     _bits: list = field(init=False, repr=False, compare=False)
     _p_add: list = field(init=False, repr=False, compare=False)
     _p_add_rep: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self._set_key()
         K = self.apa.K
         p_add, p_add_rep = [[0.0]], [[1.0]]
         for triples in self.apa.triples[1:]:
@@ -63,11 +105,18 @@ class RecipeDMode:
         object.__setattr__(self, "_p_add", p_add)
         object.__setattr__(self, "_p_add_rep", p_add_rep)
 
+    @property
+    def K(self) -> int:
+        return self.apa.K
+
+    def actions(self, k: int, pids: np.ndarray) -> np.ndarray:
+        self._check_length(k)
+        return recipe_d_actions(self.apa, self.gh, k, pids)
+
     def replay(self, packet_id: int, k: int) -> int:
         """The degree walk of `step_recipe_d` over hops 1..k of one packet,
         with every hop's draw hashed in one call."""
-        if k > self.apa.K:
-            raise RangeError(f"path length {k} beyond diameter {self.apa.K}")
+        self._check_length(k)
         nus = hash_uniform_array(self.gh, self._hops[:max(k, 0)], packet_id & _MASK64)
         mask, d = 0, 0
         for bit, nu, p_add, p_add_rep in zip(self._bits, nus.tolist(),
@@ -86,19 +135,32 @@ class RecipeDMode:
 
 
 @dataclass(frozen=True)
-class RecipeTMode:
-    """Decode context for table-based encoding: the table and shared key."""
+class RecipeTScheme(_Protocol):
+    """Table-based protocol: the same table at every switch, its row picked
+    per packet by the salt-separated hash.  The table is used as given:
+    nothing checks it against the APA it was sampled from."""
 
     avst: Avst
-    gh: GlobalHash
+    seed: int = 0
+    label: str | None = None
+    gh: GlobalHash = field(init=False, repr=False, compare=False)
 
-    def require_matches(self, apa: Apa) -> None:
-        self.avst.verify_digest(apa)
+    def __post_init__(self):
+        self._set_key()
+        if self.label is None:
+            object.__setattr__(self, "label", f"recipe-t:L={self.avst.L}")
+
+    @property
+    def K(self) -> int:
+        return self.avst.K
+
+    def actions(self, k: int, pids: np.ndarray) -> np.ndarray:
+        self._check_length(k)
+        return self.avst.rows[row_select_array(self.gh, pids, self.avst.L), :k]
 
     def replay(self, packet_id: int, k: int) -> int:
         """Hops 1..k of the packet's table row: no per-hop draw."""
-        if k > self.avst.K:
-            raise RangeError(f"path length {k} beyond diameter {self.avst.K}")
+        self._check_length(k)
         row = self.avst.rows[row_select(self.gh, packet_id, self.avst.L), :max(k, 0)]
         mask = 0
         for h, action in enumerate(row.tolist()):
@@ -110,22 +172,46 @@ class RecipeTMode:
 
 
 @dataclass(frozen=True)
-class PintMode:
-    """Decode context for the PINT baseline: mixture parameters and key."""
+class PintScheme(_Protocol):
+    """PINT baseline: with probability alpha the packet carries the
+    reservoir-sampled single hop, otherwise every hop XORs in with
+    probability p.  The binomial branch can deliver an empty codeword,
+    which counts like any delivered packet: a switch really did flip a
+    coin for it.  The protocol needs no diameter; K only bounds k."""
 
     params: PintParams
-    gh: GlobalHash
+    seed: int = 0
+    K: int = 2**31
+    label: str | None = None
+    gh: GlobalHash = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._set_key()
+        if self.label is None:
+            object.__setattr__(
+                self, "label", f"pint:a={self.params.alpha:g};p={self.params.p:g}")
+
+    def actions(self, k: int, pids: np.ndarray) -> np.ndarray:
+        self._check_length(k)
+        return pint_actions(self.params.alpha, self.params.p, self.gh, k, pids)
 
     def replay(self, packet_id: int, k: int) -> int:
         """Hash the branch hop 0 and hops 1..k in one call.  Reservoir
         branch: the last hop i with u_i < 1/i holds the slot (hop 1 always
         qualifies).  Binomial branch: every hop with u_i < p, possibly none."""
+        self._check_length(k)
         hops = np.arange(max(k, 0) + 1, dtype=np.uint64)
         u = hash_uniform_array(self.gh, hops, packet_id & _MASK64)
         if u[0] < self.params.alpha:
             hits = _pack_bits(u[1:] < 1.0 / hops[1:])
             return 1 << max(hits.bit_length() - 1, 0)
         return _pack_bits(u[1:] < self.params.p)
+
+
+# The destination-side names of the same classes.
+RecipeDMode = RecipeDScheme
+RecipeTMode = RecipeTScheme
+PintMode = PintScheme
 
 
 def _pack_bits(flags: np.ndarray) -> int:

@@ -22,23 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoder import PINT_BRANCH_HOP, PeelingState, PintMode, RecipeDMode, RecipeTMode
+from .decoder import PeelingState, PintScheme, RecipeDScheme, RecipeTScheme
 from .distributions import PintParams
 from .errors import InternalConsistencyError, RangeError
-from .feasibility import Apa, derive_apa
-from .protocol import (
-    ADD,
-    REPLACE,
-    SKIP,
-    Avst,
-    GlobalHash,
-    _mix64,
-    hash_uniform_array,
-    masks_from_members,
-    recipe_d_actions,
-    row_select_array,
-    xor_members,
-)
+from .feasibility import derive_apa
+from .protocol import _mix64, masks_from_members, xor_members
+# Unused here, but bench/tracing.py patches these names on this module.
+from .protocol import hash_uniform_array, row_select_array  # noqa: F401
 from .xdd import XddSequence, _atomic_write_text
 
 # Packets consumed before a trial is declared incomplete; incomplete trials
@@ -58,97 +48,6 @@ _U64 = np.uint64
 def derive_seed(master: int, a: int, b: int = 0) -> int:
     """Counter-derived 64-bit seed; independent of evaluation order."""
     return _mix64((master ^ (a * _SEED_C1) ^ (b * _SEED_C2)) & (2**64 - 1))
-
-
-# ---------------------------------------------------------------------------
-# Schemes: each has one action kernel, `actions(k, pids) -> uint8[n, k]`,
-# giving the Skip/Add/Replace code every hop of a length-k path applies to
-# each packet, exactly as the per-hop protocol (and therefore the decoder's
-# replay) decides it.  XOR-sets, codeword values and degree counts all
-# derive from the membership `xor_members` reads off that matrix.
-
-
-class _Scheme:
-    def generate_masks(self, k: int, pids: np.ndarray) -> list[int]:
-        """XOR-set bitmask (bit h-1 = hop h) of each packet's codeword."""
-        return masks_from_members(xor_members(self.actions(k, pids)))
-
-
-class RecipeDScheme(_Scheme):
-    """Degree-based protocol parameterized by an APA (or the sequence it
-    realizes) and the network hash key."""
-
-    def __init__(self, seq: XddSequence = None, apa: Apa = None,
-                 seed: int = 0, label: str = "recipe-d"):
-        if apa is None:
-            if seq is None:
-                raise RangeError("a sequence or an APA is required")
-            apa = derive_apa(seq)
-        self.apa = apa
-        self.gh = GlobalHash(seed)
-        self.K = apa.K
-        self.label = label
-        self.counts_empty = True
-
-    def decode_mode(self):
-        return RecipeDMode(self.apa, self.gh)
-
-    def actions(self, k: int, pids: np.ndarray) -> np.ndarray:
-        return recipe_d_actions(self.apa, self.gh, k, pids)
-
-
-class RecipeTScheme(_Scheme):
-    """Table-based protocol: same table at every switch, row picked per
-    packet by the salt-separated hash."""
-
-    def __init__(self, avst: Avst, seed: int = 0, label: str = None):
-        self.avst = avst
-        self.gh = GlobalHash(seed)
-        self.K = avst.K
-        self.label = label or f"recipe-t:L={avst.L}"
-        self.counts_empty = True
-
-    def decode_mode(self):
-        return RecipeTMode(self.avst, self.gh)
-
-    def actions(self, k: int, pids: np.ndarray) -> np.ndarray:
-        if k > self.K:
-            raise RangeError(f"path length {k} beyond diameter {self.K}")
-        return self.avst.rows[row_select_array(self.gh, pids, self.avst.L), :k]
-
-
-class PintScheme(_Scheme):
-    """PINT baseline: with probability alpha the packet carries the
-    reservoir-sampled single hop, otherwise every hop XORs in with
-    probability p.  The binomial branch can deliver an empty codeword;
-    policy "emit" counts it like any delivered packet (a switch really did
-    flip a coin for it), policy "condition" never emits it."""
-
-    def __init__(self, params: PintParams, seed: int = 0,
-                 empty_policy: str = "emit", K: int = None, label: str = None):
-        if empty_policy not in ("emit", "condition"):
-            raise RangeError(f"unknown empty-codeword policy {empty_policy!r}")
-        self.params = params
-        self.gh = GlobalHash(seed)
-        self.K = K if K is not None else 2**31
-        self.label = label or f"pint:a={params.alpha:g};p={params.p:g}"
-        self.counts_empty = empty_policy == "emit"
-
-    def decode_mode(self):
-        return PintMode(self.params, self.gh)
-
-    def actions(self, k: int, pids: np.ndarray) -> np.ndarray:
-        """Reservoir branch: hop i replaces with probability 1/i.
-        Binomial branch: hop i adds with probability p."""
-        if k > self.K:
-            raise RangeError(f"path length {k} beyond diameter {self.K}")
-        reservoir = hash_uniform_array(self.gh, PINT_BRANCH_HOP, pids) < self.params.alpha
-        actions = np.empty((pids.size, k), dtype=np.uint8)
-        for i in range(1, k + 1):
-            u = hash_uniform_array(self.gh, i, pids)
-            actions[:, i - 1] = np.where(reservoir, np.where(u < 1.0 / i, REPLACE, SKIP),
-                                         np.where(u < self.params.p, ADD, SKIP))
-        return actions
 
 
 @dataclass(frozen=True)
@@ -206,10 +105,7 @@ def run_trials(scheme, k: int, seeds) -> tuple[np.ndarray, np.ndarray]:
                 resolved = state.resolved
                 n_used = int(used[t])
                 for j in range(block):
-                    m = masks[lo + j]
-                    if m == 0 and not scheme.counts_empty:
-                        continue
-                    state.insert(m, vals[j])
+                    state.insert(masks[lo + j], vals[j])
                     n_used += 1
                     if len(resolved) == k or n_used >= cap:
                         break
@@ -283,12 +179,9 @@ def efficiency_curve(scheme, K: int, trials: int, seed: int,
                      ks=None, threads: int = 1) -> EfficiencyCurve:
     """Mean/stderr/99%-quantile consumed-codeword statistics for each k.
 
-    `scheme` may also be a bare XddSequence, which runs degree-based.
     Deterministic given (scheme, K, trials, seed) regardless of `threads`:
     every trial's randomness is derived from (seed, k, trial index).
     """
-    if isinstance(scheme, XddSequence):
-        scheme = RecipeDScheme(seq=scheme, seed=seed)
     if trials < 1:
         raise RangeError("at least one trial per point is required")
     ks = list(ks) if ks is not None else list(range(1, K + 1))

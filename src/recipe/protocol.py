@@ -41,6 +41,10 @@ _U64_11, _U64_27, _U64_30, _U64_31 = (np.uint64(c) for c in (11, 27, 30, 31))
 SKIP, ADD, REPLACE = 0, 1, 2
 ACTION_NAMES = {SKIP: "skip", ADD: "add", REPLACE: "replace"}
 
+# Hash domain layout: hop 0 carries per-packet branch decisions (PINT
+# mixture), hops >= 1 carry per-switch decisions.
+PINT_BRANCH_HOP = 0
+
 AVST_MAGIC = b"AVST"
 AVST_VERSION = 1
 
@@ -194,10 +198,8 @@ def recipe_d_actions(apa: Apa, gh: GlobalHash, k: int, pids: np.ndarray) -> np.n
     The degree-based walk of `step_recipe_d`, vectorized over packets:
     every hop draws nu = h(hop, packet) and applies the APA entry for the
     packet's current degree.  Raises ProtocolError if a packet reaches a
-    state the APA marks unreachable.
+    state the APA marks unreachable.  Needs k <= apa.K.
     """
-    if k > apa.K:
-        raise RangeError(f"path length {k} beyond diameter {apa.K}")
     actions = np.empty((pids.size, k), dtype=np.uint8)
     actions[:, 0] = REPLACE  # the APA's fixed hop-1 row (0, 0, 1)
     degrees = np.ones(pids.size, dtype=np.int64)
@@ -211,6 +213,21 @@ def recipe_d_actions(apa: Apa, gh: GlobalHash, k: int, pids: np.ndarray) -> np.n
         rep = ~add & (nu < p_add + triples[:, 2][degrees - 1])
         actions[:, i - 1] = np.where(add, ADD, np.where(rep, REPLACE, SKIP))
         degrees = np.where(add, degrees + 1, np.where(rep, 1, degrees))
+    return actions
+
+
+def pint_actions(alpha: float, p: float, gh: GlobalHash, k: int,
+                 pids: np.ndarray) -> np.ndarray:
+    """The PINT baseline's actions, uint8[n, k]: with probability alpha
+    (drawn at PINT_BRANCH_HOP) a packet takes the reservoir branch, where
+    hop i replaces with probability 1/i; otherwise hop i adds with
+    probability p."""
+    reservoir = hash_uniform_array(gh, PINT_BRANCH_HOP, pids) < alpha
+    actions = np.empty((pids.size, k), dtype=np.uint8)
+    for i in range(1, k + 1):
+        u = hash_uniform_array(gh, i, pids)
+        actions[:, i - 1] = np.where(reservoir, np.where(u < 1.0 / i, REPLACE, SKIP),
+                                     np.where(u < p, ADD, SKIP))
     return actions
 
 

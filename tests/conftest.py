@@ -3,9 +3,10 @@ import sys
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-# Acceptance criteria register their PASS/FAIL lines here; the summary hook
-# prints them after the run, outside pytest's capture.
-ACCEPTANCE_LINES = []
+from acceptance_lines import ACCEPTANCE_LINES  # noqa: E402
+
+# Acceptance criteria register their PASS/FAIL lines in ACCEPTANCE_LINES;
+# the summary hook prints them after the run, outside pytest's capture.
 
 
 def pytest_terminal_summary(terminalreporter):

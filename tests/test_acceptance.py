@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ACCEPTANCE_LINES
+from acceptance_lines import ACCEPTANCE_LINES
 
 from recipe.distributions import (
     PintParams,
@@ -108,7 +108,7 @@ def test_criterion_04_encoder_degree_statistics():
     """Per-hop empirical XDD of the degree-based encoder, 4 sigma bins."""
     K = 8
     seq = shifted_soliton_sequence(K)
-    scheme = RecipeDScheme(seq=seq, seed=4001)
+    scheme = RecipeDScheme(derive_apa(seq), seed=4001)
     n = 10**6
     worst_z = 0.0
     for k in range(1, K + 1):
@@ -174,9 +174,9 @@ def test_criterion_07_headline_comparison_vs_tuned_pint():
     trials = 10**4
     params, _ = tune_pint(K, trials=400, seed=7001)
     pint = PintScheme(params, seed=7002, K=K)
-    ss = RecipeDScheme(seq=shifted_soliton_sequence(K), seed=7002, label="ss")
+    ss = RecipeDScheme(derive_apa(shifted_soliton_sequence(K)), seed=7002, label="ss")
     qps_seq = qps_search(K, SearchConfig(restarts=6, seed=7003))
-    qps = RecipeDScheme(seq=qps_seq, seed=7002, label="qps")
+    qps = RecipeDScheme(derive_apa(qps_seq), seed=7002, label="qps")
     m_pint, _, _ = _mean_at(pint, K, trials, 7004)
     m_ss, _, _ = _mean_at(ss, K, trials, 7004)
     m_qps, _, _ = _mean_at(qps, K, trials, 7004)
@@ -196,8 +196,8 @@ def test_criterion_08_qps_beats_shifted_soliton():
     details = []
     for K in (36, 59):
         qps_seq = qps_search(K, SearchConfig(restarts=6, seed=8001))
-        qps = RecipeDScheme(seq=qps_seq, seed=8002)
-        ss = RecipeDScheme(seq=shifted_soliton_sequence(K), seed=8002)
+        qps = RecipeDScheme(derive_apa(qps_seq), seed=8002)
+        ss = RecipeDScheme(derive_apa(shifted_soliton_sequence(K)), seed=8002)
         m_q, se_q, _ = _mean_at(qps, K, trials, 8003)
         m_s, se_s, _ = _mean_at(ss, K, trials, 8003)
         assert m_q < m_s - 3 * (se_q + se_s), \
@@ -217,8 +217,8 @@ def test_criterion_09_hrs_beats_qps_at_full_length():
     hrs_seq = hrs_search(K, SearchConfig(candidates_per_hop=32,
                                          trials_per_candidate=256, seed=9001))
     qps_seq = qps_search(K, SearchConfig(restarts=6, seed=9002))
-    hrs = RecipeDScheme(seq=hrs_seq, seed=9003)
-    qps = RecipeDScheme(seq=qps_seq, seed=9003)
+    hrs = RecipeDScheme(derive_apa(hrs_seq), seed=9003)
+    qps = RecipeDScheme(derive_apa(qps_seq), seed=9003)
     m_h, se_h, _ = _mean_at(hrs, K, trials, 9004)
     m_q, se_q, _ = _mean_at(qps, K, trials, 9004)
     assert m_h < m_q, f"HRS {m_h:.2f} not below QPS {m_q:.2f} at k={K}"
@@ -242,8 +242,8 @@ def test_criterion_10_mean_field_spot_values_and_toggle():
     trials = 5000
     first = qps_search(K, SearchConfig(restarts=4, seed=10001, second_order=False))
     second = qps_search(K, SearchConfig(restarts=4, seed=10001, second_order=True))
-    m1, _, _ = _mean_at(RecipeDScheme(seq=first, seed=10002), K, trials, 10003)
-    m2, _, _ = _mean_at(RecipeDScheme(seq=second, seed=10002), K, trials, 10003)
+    m1, _, _ = _mean_at(RecipeDScheme(derive_apa(first), seed=10002), K, trials, 10003)
+    m2, _, _ = _mean_at(RecipeDScheme(derive_apa(second), seed=10002), K, trials, 10003)
     shift = abs(m2 - m1) / m1
     assert shift <= 0.10, f"order toggle moved efficiency by {shift:.3f} > 10%"
     _report("criterion 10 (mean-field spot values + order toggle)", True,

@@ -84,8 +84,7 @@ def test_generate_masks_ints_pinned(artifacts, k):
     text = "\n".join(str(int(m)) for scheme_masks in masks for m in scheme_masks)
     assert _sha(text.encode()) == MASKS_SHA[k]
     for scheme, scheme_masks in zip(schemes, masks):
-        mode = scheme.decode_mode()
-        assert [replay_xor_mask(pid, k, mode) for pid in pids.tolist()] == scheme_masks
+        assert [replay_xor_mask(pid, k, scheme) for pid in pids.tolist()] == scheme_masks
 
 
 def test_hrs_search_sequence_and_scores_pinned():

@@ -5,7 +5,7 @@ import pytest
 from recipe.cli import main
 from recipe.decoder import replay_xor_mask
 from recipe.evaluation import RecipeDScheme
-from recipe.feasibility import read_apa
+from recipe.feasibility import derive_apa, read_apa
 from recipe.protocol import read_avst
 from recipe.xdd import read_sequence
 
@@ -114,14 +114,13 @@ def _recipe_d_stream(tmp_path, capsys):
     ss = tmp_path / "ss.json"
     run_cli(capsys, "dist", "shifted-soliton", "--K", "3", "-o", str(ss))
     seq = read_sequence(ss)
-    scheme = RecipeDScheme(seq=seq, seed=5)
-    mode = scheme.decode_mode()
+    scheme = RecipeDScheme(derive_apa(seq), seed=5)
     ids = [0x101, 0x202, 0x303]
     lines = []
     n = 0
     pid = 0
     while n < 40:
-        mask = replay_xor_mask(pid, 3, mode)
+        mask = replay_xor_mask(pid, 3, scheme)
         value = 0
         for h in range(3):
             if (mask >> h) & 1:

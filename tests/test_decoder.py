@@ -49,13 +49,12 @@ def test_mask_set_round_trip():
 
 def test_replay_recipe_t_forced_rows():
     digest = "00" * 32
-    gh = GlobalHash(3)
     row = np.array([[REPLACE, ADD, ADD]], dtype=np.uint8)
-    mode = RecipeTMode(Avst(1, 3, row, 0, digest), gh)
-    assert replay_xor_set(12345, 3, mode) == frozenset({1, 2, 3})
+    scheme = RecipeTScheme(Avst(1, 3, row, 0, digest), seed=3)
+    assert replay_xor_set(12345, 3, scheme) == frozenset({1, 2, 3})
     row2 = np.array([[REPLACE, SKIP, REPLACE]], dtype=np.uint8)
-    mode2 = RecipeTMode(Avst(1, 3, row2, 0, digest), gh)
-    assert replay_xor_set(12345, 3, mode2) == frozenset({3})
+    scheme2 = RecipeTScheme(Avst(1, 3, row2, 0, digest), seed=3)
+    assert replay_xor_set(12345, 3, scheme2) == frozenset({3})
 
 
 def test_replay_recipe_d_equals_encoder_trace():
@@ -63,15 +62,14 @@ def test_replay_recipe_d_equals_encoder_trace():
     # XOR-set bitmask, so encoding and replay can be compared exactly.
     k = 3
     apa = derive_apa(shifted_soliton_sequence(k))
-    gh = GlobalHash(17)
-    mode = RecipeDMode(apa, gh)
+    scheme = RecipeDScheme(apa, seed=17)
     rng = np.random.default_rng(0)
     for pid in rng.integers(0, 2**64, size=10000, dtype=np.uint64):
         pid = int(pid)
         pkt = Packet(packet_id=pid)
         for i in range(1, k + 1):
-            pkt = step_recipe_d(pkt, 1 << (i - 1), apa, gh)
-        assert pkt.codeword == replay_xor_mask(pid, k, mode)
+            pkt = step_recipe_d(pkt, 1 << (i - 1), apa, scheme.gh)
+        assert pkt.codeword == replay_xor_mask(pid, k, scheme)
         assert pkt.degree_field == pkt.codeword.bit_count()
 
 
@@ -101,28 +99,57 @@ def test_replay_matches_bulk_generators_all_modes(k):
         (PintScheme(PintParams(0.3, 2 / k), seed=23, K=k), None, None),
     ]
     for scheme, step, table in schemes:
-        mode = scheme.decode_mode()
         masks = scheme.generate_masks(k, pids)
         values = _codeword_values(xor_members(scheme.actions(k, pids)), switch_ids)
         for pid, mask, value in zip(pids.tolist(), masks, values.tolist()):
-            assert mask == replay_xor_mask(pid, k, mode)
+            assert mask == replay_xor_mask(pid, k, scheme)
             if step is None:
                 expected = 0
                 for h in hops_from_mask(mask):
                     expected ^= int(switch_ids[h - 1])
             else:
-                assert _fold(step, table, mode.gh, pid, bits) == mask
-                expected = _fold(step, table, mode.gh, pid, switch_ids.tolist())
+                assert _fold(step, table, scheme.gh, pid, bits) == mask
+                expected = _fold(step, table, scheme.gh, pid, switch_ids.tolist())
             assert value == expected
+
+
+def test_scheme_and_mode_names_are_one_class():
+    # bench/ builds each protocol object under both names, with the key as
+    # a GlobalHash or as an int.  Its oracle encodes reference codewords
+    # with step_recipe_d / step_recipe_t only when decode_mode() is a
+    # RecipeDMode / RecipeTMode, and otherwise falls back to the replay
+    # it is meant to check.
+    from recipe import evaluation
+
+    assert RecipeDMode is evaluation.RecipeDScheme
+    assert RecipeTMode is evaluation.RecipeTScheme
+    assert PintMode is evaluation.PintScheme
+    K, s = 12, 41
+    apa = derive_apa(shifted_soliton_sequence(K))
+    avst = generate_avst(apa, 64, seed=2)
+    params = PintParams(0.3, 2 / K)
+    pairs = [(RecipeDMode(apa, GlobalHash(s)), RecipeDScheme(apa=apa, seed=s)),
+             (RecipeTMode(avst, GlobalHash(s)), RecipeTScheme(avst=avst, seed=s)),
+             (PintMode(params, GlobalHash(s)), PintScheme(params=params, seed=s, K=K))]
+    pids = np.random.default_rng(5).integers(0, 2**64, size=200, dtype=np.uint64).tolist()
+    for mode, scheme in pairs:
+        assert mode.gh == scheme.gh
+        assert mode.seed == scheme.seed == s
+        for k in (1, K // 2, K):
+            assert ([replay_xor_mask(pid, k, mode) for pid in pids]
+                    == [replay_xor_mask(pid, k, scheme) for pid in pids])
+        assert scheme.decode_mode() is scheme
+    assert isinstance(pairs[0][1].decode_mode(), RecipeDMode)
+    assert isinstance(pairs[1][1].decode_mode(), RecipeTMode)
 
 
 def test_replay_reservoir_branch_is_single_uniformish_hop():
     k = 5
-    mode = PintMode(PintParams(1.0, 0.5), GlobalHash(11))
+    scheme = PintScheme(PintParams(1.0, 0.5), seed=11)
     rng = np.random.default_rng(3)
     counts = np.zeros(k)
     for pid in rng.integers(0, 2**64, size=20000, dtype=np.uint64):
-        s = replay_xor_set(int(pid), k, mode)
+        s = replay_xor_set(int(pid), k, scheme)
         assert len(s) == 1
         counts[next(iter(s)) - 1] += 1
     freqs = counts / counts.sum()
@@ -131,9 +158,9 @@ def test_replay_reservoir_branch_is_single_uniformish_hop():
 
 def test_replay_range_errors():
     apa = derive_apa(shifted_soliton_sequence(3))
-    mode = RecipeDMode(apa, GlobalHash(0))
+    scheme = RecipeDScheme(apa)
     with pytest.raises(RangeError):
-        replay_xor_mask(1, 4, mode)
+        replay_xor_mask(1, 4, scheme)
     with pytest.raises(ConfigurationError):
         replay_xor_mask(1, 3, apa)  # an APA is not a decode mode
 
@@ -143,24 +170,24 @@ def test_replay_raises_on_unreachable_apa_entry():
     nan = float("nan")
     apa = Apa(3, ([[0.0, 0.0, 1.0]], [[1.0, 0.0, 0.0]],
                   [[0.0, 1.0, 0.0], [nan, nan, nan]]))
-    mode = RecipeDMode(apa, GlobalHash(0))
+    scheme = RecipeDScheme(apa)
     for pid in (0, 7, 2**64 - 1):
-        assert replay_xor_mask(pid, 2, mode) == 0b11
+        assert replay_xor_mask(pid, 2, scheme) == 0b11
         with pytest.raises(ProtocolError):
-            replay_xor_mask(pid, 3, mode)
+            replay_xor_mask(pid, 3, scheme)
 
 
 def test_replay_takes_packet_ids_mod_2_64():
     K = 10
     apa = derive_apa(shifted_soliton_sequence(K))
-    gh = GlobalHash(17)
-    modes = [RecipeDMode(apa, gh), RecipeTMode(generate_avst(apa, 50, seed=4), gh),
-             PintMode(PintParams(0.5, 0.3), gh)]
+    schemes = [RecipeDScheme(apa, seed=17),
+               RecipeTScheme(generate_avst(apa, 50, seed=4), seed=17),
+               PintScheme(PintParams(0.5, 0.3), seed=17)]
     pids = np.random.default_rng(8).integers(0, 2**64, size=50, dtype=np.uint64).tolist()
-    for mode in modes:
-        assert replay_xor_mask(-1, K, mode) == replay_xor_mask(2**64 - 1, K, mode)
+    for scheme in schemes:
+        assert replay_xor_mask(-1, K, scheme) == replay_xor_mask(2**64 - 1, K, scheme)
         for pid in [0, 2**64 - 1] + pids:
-            assert replay_xor_mask(pid + 2**64, K, mode) == replay_xor_mask(pid, K, mode)
+            assert replay_xor_mask(pid + 2**64, K, scheme) == replay_xor_mask(pid, K, scheme)
 
 
 def test_peel_degree_one_resolves_directly():
@@ -267,8 +294,7 @@ def test_two_hop_oracle_value_is_8_thirds():
 def test_decode_stream_mean_matches_two_hop_markov_oracle():
     # Exact chain says E[used] = 8/3 for the Shifted Soliton at k=2.
     seq = shifted_soliton_sequence(2)
-    scheme = RecipeDScheme(seq=seq, seed=29)
-    mode = scheme.decode_mode()
+    scheme = RecipeDScheme(derive_apa(seq), seed=29)
     rng = np.random.default_rng(8)
     n = 20000
     total = 0
@@ -277,7 +303,7 @@ def test_decode_stream_mean_matches_two_hop_markov_oracle():
         def stream():
             while True:
                 pid = int(rng.integers(0, 2**64, dtype=np.uint64))
-                mask = replay_xor_mask(pid, 2, mode)
+                mask = replay_xor_mask(pid, 2, scheme)
                 value = 0
                 for h in range(2):
                     if (mask >> h) & 1:

@@ -3,6 +3,7 @@ import pytest
 
 from recipe.distributions import PintParams, shifted_soliton_sequence
 from recipe.errors import RangeError
+from recipe.feasibility import derive_apa
 from recipe.evaluation import (
     CAP_FACTOR,
     PintScheme,
@@ -26,7 +27,7 @@ from oracles import coupon_collector_mean, two_hop_expected_used
 
 
 def _ss_scheme(K, seed=3):
-    return RecipeDScheme(seq=shifted_soliton_sequence(K), seed=seed)
+    return RecipeDScheme(derive_apa(shifted_soliton_sequence(K)), seed=seed)
 
 
 def test_run_instance_single_hop_uses_one():
@@ -130,19 +131,6 @@ def test_degree_histogram_matches_target_for_pint():
     n_kept = counts.sum()  # empties excluded
     sigma = np.maximum(np.sqrt(n_kept * target * (1 - target)), 1.0)
     assert (np.abs(counts - n_kept * target) <= 4 * sigma).all()
-
-
-def test_pint_empty_policy_condition_skips_empties():
-    params = PintParams(0.0, 0.05)
-    emit = PintScheme(params, seed=2, K=3, empty_policy="emit")
-    cond = PintScheme(params, seed=2, K=3, empty_policy="condition")
-    seeds = [derive_seed(11, 3, t) for t in range(4000)]
-    used_emit, _ = run_trials(emit, 3, seeds)
-    used_cond, _ = run_trials(cond, 3, seeds)
-    # conditioning never counts the empty deliveries, so it uses fewer
-    assert used_cond.mean() < used_emit.mean()
-    with pytest.raises(RangeError):
-        PintScheme(params, empty_policy="sometimes")
 
 
 def test_recipe_t_single_row_table_caps_out():

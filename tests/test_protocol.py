@@ -173,7 +173,7 @@ def test_empirical_degree_distribution_recipe_d():
     seq = shifted_soliton_sequence(K)
     from recipe.evaluation import RecipeDScheme, degree_histogram
 
-    scheme = RecipeDScheme(seq=seq, seed=31)
+    scheme = RecipeDScheme(derive_apa(seq), seed=31)
     n = 10**5
     for k in (1, 3, 8):
         counts = degree_histogram(scheme, k, n, seed=7 + k)
