@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .xdd import (  # noqa: F401
     Xdd,
     XddSequence,
-    QValue,
     binomial_log,
     mu_to_q,
     validate_xdd,

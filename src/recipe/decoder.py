@@ -18,6 +18,7 @@ so both always apply the same artifact under the same key.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -303,6 +304,19 @@ class PeelingState:
     def pending_count(self) -> int:
         return self._n_pending
 
+    def absorb(self, codewords) -> int:
+        """Insert (mask, value) pairs in order until all k hops resolve;
+        return how many were consumed (all of them if decoding did not
+        finish).  Every consumed codeword counts, useless ones included:
+        each cost a delivered packet."""
+        used = 0
+        for mask, value in codewords:
+            self.insert(mask, value)
+            used += 1
+            if len(self.resolved) == self.k:
+                break
+        return used
+
     def insert(self, mask: int, value: int) -> list[int]:
         """Absorb one codeword; return hops newly resolved (cascades included)."""
         known = mask & self._resolved_mask
@@ -362,12 +376,16 @@ class PeelingState:
         return newly
 
 
-def peel_insert(state: PeelingState, cw: ReceivedCodeword) -> list[int]:
-    """Insert one received codeword; return the list of newly resolved hops."""
+def _checked_mask(state: PeelingState, cw: ReceivedCodeword) -> int:
     if cw.path_length != state.k:
         raise RangeError(
             f"codeword for path length {cw.path_length} fed to a k={state.k} decoder")
-    return state.insert(cw.mask(), cw.codeword)
+    return cw.mask()
+
+
+def peel_insert(state: PeelingState, cw: ReceivedCodeword) -> list[int]:
+    """Insert one received codeword; return the list of newly resolved hops."""
+    return state.insert(_checked_mask(state, cw), cw.codeword)
 
 
 @dataclass
@@ -384,17 +402,12 @@ def decode_stream(codewords, k: int, limit: int | None = None) -> DecodeResult:
     """Consume codewords in arrival order until all k hops resolve.
 
     `used` counts every consumed codeword, including duplicates and empty
-    ones: they cost a delivered packet whether or not they help.  If the
-    stream (or `limit`) is exhausted first, the partial map is returned
-    with complete=False; the caller decides what to make of that.
+    ones: they cost a delivered packet whether or not they help.  At most
+    `limit` codewords are taken from the stream.  If the stream (or
+    `limit`) is exhausted first, the partial map is returned with
+    complete=False; the caller decides what to make of that.
     """
     state = PeelingState(k)
-    used = 0
-    for cw in codewords:
-        if limit is not None and used >= limit:
-            break
-        peel_insert(state, cw)
-        used += 1
-        if state.complete:
-            return DecodeResult(dict(state.resolved), used, True, state)
-    return DecodeResult(dict(state.resolved), used, False, state)
+    used = state.absorb((_checked_mask(state, cw), cw.codeword)
+                        for cw in islice(codewords, limit))
+    return DecodeResult(dict(state.resolved), used, state.complete, state)

@@ -102,19 +102,10 @@ def run_trials(scheme, k: int, seeds) -> tuple[np.ndarray, np.ndarray]:
                 lo = row * block
                 vals = _codeword_values(members[lo:lo + block], switch_ids[t]).tolist()
                 state = states[t]
-                resolved = state.resolved
-                n_used = int(used[t])
-                for j in range(block):
-                    state.insert(masks[lo + j], vals[j])
-                    n_used += 1
-                    if len(resolved) == k or n_used >= cap:
-                        break
-                used[t] = n_used
-                if state.complete:
-                    completed[t] = True
-                    _verify_resolution(state, switch_ids[t])
-                elif n_used >= cap:
-                    used[t] = cap
+                take = min(block, cap - int(used[t]))
+                used[t] += state.absorb(zip(masks[lo:lo + take], vals))
+                if state.complete or used[t] == cap:
+                    completed[t] = state.complete
                     _verify_resolution(state, switch_ids[t])
                 else:
                     still.append(t)
@@ -171,10 +162,6 @@ def _curve_point(scheme, k: int, trials: int, master_seed: int) -> CurvePoint:
     return CurvePoint(k, trials, mean, stderr, q99, 1.0 - float(completed.mean()))
 
 
-def _curve_point_job(args):
-    return _curve_point(*args)
-
-
 def efficiency_curve(scheme, K: int, trials: int, seed: int,
                      ks=None, threads: int = 1) -> EfficiencyCurve:
     """Mean/stderr/99%-quantile consumed-codeword statistics for each k.
@@ -185,12 +172,7 @@ def efficiency_curve(scheme, K: int, trials: int, seed: int,
     if trials < 1:
         raise RangeError("at least one trial per point is required")
     ks = list(ks) if ks is not None else list(range(1, K + 1))
-    jobs = [(scheme, k, trials, seed) for k in ks]
-    if threads > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            points = list(pool.map(_curve_point_job, jobs))
-    else:
-        points = [_curve_point_job(j) for j in jobs]
+    points = map_jobs(_curve_point, [(scheme, k, trials, seed) for k in ks], threads)
     return EfficiencyCurve(scheme.label, K, tuple(points))
 
 
@@ -307,3 +289,13 @@ def read_curves_csv(path) -> list[EfficiencyCurve]:
 
 def default_threads() -> int:
     return os.cpu_count() or 1
+
+
+def map_jobs(fn, jobs, threads: int) -> list:
+    """[fn(*job) for job in jobs], in order; in `threads` worker processes
+    when threads > 1 and there is more than one job.  `fn` and the jobs
+    must pickle."""
+    if threads > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, *zip(*jobs)))
+    return [fn(*job) for job in jobs]

@@ -46,7 +46,6 @@ from .xdd import (
     XddSequence,
     _atomic_write_text,
     binomial_log,
-    mu_to_q,
     sequence_from_masses,
 )
 
@@ -273,13 +272,6 @@ def _collect_mass(states: dict[int, float], i: int) -> np.ndarray:
                     f"with probability {hi}")
         mass[d - 1] = total
     return mass
-
-
-def q_value(seq: XddSequence, i: int, d: int):
-    """q_i(d) of a sequence, as a QValue record."""
-    from .xdd import QValue
-
-    return QValue(i, d, mu_to_q(seq.xdd(i), d))
 
 
 # ---------------------------------------------------------------------------

@@ -33,15 +33,16 @@ collisions.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
 from .decoder import PeelingState
 from .distributions import robust_soliton, expand_invariant, shifted_soliton
 from .errors import InternalConsistencyError, RangeError
+from .evaluation import map_jobs
 from .feasibility import check_feasible, _rhs_mu
 from .protocol import masks_from_members
 from .xdd import Xdd, XddSequence, binomial_log, sequence_from_masses
@@ -96,51 +97,23 @@ def _mean_field_coeffs(K: int):
     return _COEFF_CACHE[K]
 
 
-def _mean_field_core(mass: np.ndarray, K: int, second_order: bool):
+def _objective_and_grad(mass: np.ndarray, K: int, second_order: bool):
+    """One pass of the t-recursion: the objective, its exact gradient
+    (forward accumulation; clamped terms contribute zero gradient) and
+    the per-rank terms.  Returns (total, grad, MeanFieldTerms), where
+    total is the running sum of t in rank order."""
     rel_m, suc_m = _mean_field_coeffs(K)
     p_rel = rel_m @ mass
     p_suc = suc_m @ mass
     if p_suc[0] <= 0.0:
         raise RangeError("mu(1) = 0: the first message can never be decoded")
-    if (p_rel > 1.0 + 1e-9).any() or (p_suc > 1.0 + 1e-9).any():
-        raise InternalConsistencyError("mean-field probability above 1")
     t = np.zeros(K)
     s = np.zeros(K)
-    running = 0.0
-    for j in range(K):
-        s[j] = running
-        released = running * p_rel[j]
-        if second_order:
-            released -= 0.5 * released * released / (K - j)
-        t[j] = max(0.0, 1.0 - released) / p_suc[j]
-        running += t[j]
-    return p_rel, p_suc, t, s
-
-
-def mean_field_objective(mu: Xdd, second_order: bool = False):
-    """Approximate expected codewords to decode all K messages.
-
-    Returns (total, MeanFieldTerms).  Deterministic: identical input gives
-    bit-identical output.
-    """
-    K = mu.k
-    p_rel, p_suc, t, s = _mean_field_core(np.asarray(mu.mass), K, second_order)
-    return float(t.sum()), MeanFieldTerms(K, p_rel, p_suc, t, s)
-
-
-def _objective_and_grad(mass: np.ndarray, K: int, second_order: bool):
-    """Objective and its exact gradient (forward accumulation through the
-    t-recursion; clamped terms contribute zero gradient)."""
-    rel_m, suc_m = _mean_field_coeffs(K)
-    p_rel = rel_m @ mass
-    p_suc = suc_m @ mass
-    if p_suc[0] <= 0.0:
-        raise RangeError("mu(1) = 0: the first message can never be decoded")
-    t_total = 0.0
     grad = np.zeros(K)
     running = 0.0
     d_running = np.zeros(K)
     for j in range(K):
+        s[j] = running
         rel_j = running * p_rel[j]
         d_rel_j = d_running * p_rel[j] + running * rel_m[j]
         if second_order:
@@ -149,17 +122,25 @@ def _objective_and_grad(mass: np.ndarray, K: int, second_order: bool):
         else:
             released, d_released = rel_j, d_rel_j
         num = 1.0 - released
-        if num <= 0.0:
-            t_j = 0.0
-            d_t_j = np.zeros(K)
-        else:
-            t_j = num / p_suc[j]
+        if num > 0.0:
+            t[j] = num / p_suc[j]
             d_t_j = (-d_released * p_suc[j] - num * suc_m[j]) / (p_suc[j] ** 2)
-        t_total += t_j
-        grad += d_t_j
-        running += t_j
-        d_running = d_running + d_t_j
-    return t_total, grad
+            grad += d_t_j
+            d_running = d_running + d_t_j
+        running += t[j]
+    return running, grad, MeanFieldTerms(K, p_rel, p_suc, t, s)
+
+
+def mean_field_objective(mu: Xdd, second_order: bool = False):
+    """Approximate expected codewords to decode all K messages.
+
+    Returns (total, MeanFieldTerms).  Deterministic: identical input gives
+    bit-identical output.
+    """
+    _, _, terms = _objective_and_grad(np.asarray(mu.mass), mu.k, second_order)
+    if (terms.p_rel > 1.0 + 1e-9).any() or (terms.p_suc > 1.0 + 1e-9).any():
+        raise InternalConsistencyError("mean-field probability above 1")
+    return float(terms.t.sum()), terms
 
 
 # ---------------------------------------------------------------------------
@@ -299,21 +280,23 @@ def _project_weighted_simplex(y: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.maximum(y - t * w, 0.0)
 
 
-def _qps_descend(mass: np.ndarray, K: int, second_order: bool,
-                 max_iters: int = 2000, trace=None, tag: int = 0):
-    """Projected gradient descent with backtracking from one start point."""
+def _qps_descend(mass: np.ndarray, K: int, second_order: bool, tag: int,
+                 max_iters: int = 2000):
+    """Projected gradient descent with backtracking from one start point.
+    Returns (x, f, trace rows (tag, iteration, f))."""
     w = _delta_weights(K)
     delta = _project_weighted_simplex(_delta_from_mass(project_invariant_polytope(mass)), w)
     x = _mass_from_delta(delta)
-    f, g = _objective_and_grad(x, K, second_order)
+    f, g, _ = _objective_and_grad(x, K, second_order)
     gd = _grad_to_delta(g)
     lr = 0.25 / max(np.abs(gd).max(), 1e-12)
+    trace = []
     for it in range(max_iters):
         improved = False
         while lr > 1e-16:
             dy = _project_weighted_simplex(delta - lr * gd, w)
             y = _mass_from_delta(dy)
-            fy, gy = _objective_and_grad(y, K, second_order)
+            fy, gy, _ = _objective_and_grad(y, K, second_order)
             if fy < f - 1e-13:
                 delta, x, f = dy, y, fy
                 gd = _grad_to_delta(gy)
@@ -321,17 +304,9 @@ def _qps_descend(mass: np.ndarray, K: int, second_order: bool,
                 improved = True
                 break
             lr *= 0.5
-        if trace is not None:
-            trace.append((tag, it, f))
+        trace.append((tag, it, f))
         if not improved:
             break
-    return x, f
-
-
-def _qps_descend_job(args):
-    start, K, second_order, tag = args
-    trace = []
-    x, f = _qps_descend(start, K, second_order, trace=trace, tag=tag)
     return x, f, trace
 
 
@@ -362,11 +337,7 @@ def qps_search(K: int, config: SearchConfig = SearchConfig(),
         starts.append(rng.dirichlet(np.ones(K)))
     jobs = [(np.asarray(start, dtype=float), K, config.second_order, tag)
             for tag, start in enumerate(starts)]
-    if threads > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_qps_descend_job, jobs))
-    else:
-        results = [_qps_descend_job(j) for j in jobs]
+    results = map_jobs(_qps_descend, jobs, threads)
     best_x, best_f = None, math.inf
     for x, f, job_trace in results:
         if trace is not None:
@@ -487,14 +458,8 @@ class _ScoringBank:
         masks = masks_from_members((self.ranks < degrees[..., None]).reshape(-1, self.m))
         total = 0
         for t in range(self.trials):
-            state = PeelingState(self.m)
-            used = 0
-            for mask in masks[t * self.cap:(t + 1) * self.cap]:
-                state.insert(mask, 0)
-                used += 1
-                if state.complete:
-                    break
-            total += used
+            trial_masks = masks[t * self.cap:(t + 1) * self.cap]
+            total += PeelingState(self.m).absorb(zip(trial_masks, repeat(0)))
         return total / self.trials
 
 

@@ -118,15 +118,6 @@ def mu_to_q(xdd: Xdd, d: int) -> float:
     return math.exp(math.log(m) - binomial_log(xdd.k, d))
 
 
-@dataclass(frozen=True)
-class QValue:
-    """One uniform XOR-set probability q_i(d) with its (hop, degree) index."""
-
-    i: int
-    d: int
-    value: float
-
-
 def xdd_to_q_table(xdd: Xdd) -> np.ndarray:
     """All q(d), d = 1..k, for one XDD."""
     return np.array([mu_to_q(xdd, d) for d in range(1, xdd.k + 1)])

@@ -4,8 +4,9 @@ The encoders may be restructured freely, but for a fixed seed these bytes
 must not move: curve CSVs (degree-based at the paper's K=59, table-based
 and PINT across the 64-hop word boundary), an action table file, the
 XOR-set masks of every scheme at k = 64 and 65 (as generated and as
-replayed at the destination), and a backward (HRS) search's sequence and
-per-hop scores.  A digest changes only with a deliberate change to an
+replayed at the destination), a backward (HRS) search's sequence and
+per-hop scores, quadratic (QPS) searches' sequences and descent traces, and
+the mean-field objective's per-rank terms.  A digest changes only with a deliberate change to an
 output format or to the sampling, and is then re-pinned in the same change.
 """
 
@@ -16,11 +17,11 @@ import pytest
 
 from recipe.cli import main
 from recipe.decoder import replay_xor_mask
-from recipe.distributions import PintParams
+from recipe.distributions import PintParams, shifted_soliton
 from recipe.evaluation import PintScheme, RecipeDScheme, RecipeTScheme
 from recipe.feasibility import read_apa
 from recipe.protocol import read_avst
-from recipe.search import SearchConfig, hrs_search
+from recipe.search import SearchConfig, hrs_search, mean_field_objective, qps_search
 from recipe.xdd import sequence_to_json
 
 AVST_SHA = "62ce0ba47825baa17459f00436835b72f338a13c1b06f1ebef9ffced9fa5f32c"
@@ -34,6 +35,11 @@ MASKS_SHA = {
     65: "58f325c63283dd80297a2a8708b04bd8e18331553f1e809fc76b501efad1f55f",
 }
 HRS_SHA = "5e4b06279467965a101a571703c71ab2783e130481f3f3fe1e4ae77103661583"
+QPS_SHA = {
+    59: "67e37df618a23dbcff19d0de357ec5592c3c4adc96e1f518632e542ec4b088c8",
+    30: "d9650a41a80c61e6decc3d8aac3cac72a3bffc910c5c09ea01d5c962e5009bb4",
+}
+MEAN_FIELD_SHA = "22102e147fa1584a1a52725cc4748edef28b8a66bba5aefaae836d64de2be7eb"
 
 
 def _sha(data: bytes) -> str:
@@ -92,3 +98,23 @@ def test_hrs_search_sequence_and_scores_pinned():
     seq = hrs_search(16, SearchConfig(candidates_per_hop=8, trials_per_candidate=64, seed=3),
                      trace=trace)
     assert _sha((sequence_to_json(seq) + repr(trace)).encode()) == HRS_SHA
+
+
+@pytest.mark.parametrize("K", sorted(QPS_SHA))
+def test_qps_search_sequence_and_trace_pinned(K):
+    config = {59: SearchConfig(restarts=2, seed=4),
+              30: SearchConfig(restarts=2, seed=4, second_order=True)}[K]
+    trace = []
+    seq = qps_search(K, config, trace=trace)
+    assert _sha((sequence_to_json(seq) + repr(trace)).encode()) == QPS_SHA[K]
+
+
+def test_mean_field_objective_terms_pinned():
+    h = hashlib.sha256()
+    for K in (8, 59, 236):
+        for second_order in (False, True):
+            total, terms = mean_field_objective(shifted_soliton(K), second_order)
+            h.update(repr(total).encode())
+            for a in (terms.p_rel, terms.p_suc, terms.t, terms.s):
+                h.update(a.tobytes())
+    assert h.hexdigest() == MEAN_FIELD_SHA

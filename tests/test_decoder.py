@@ -267,6 +267,23 @@ def test_decode_stream_respects_limit():
     assert not result.complete and result.used == 4
 
 
+def test_decode_stream_takes_at_most_limit_codewords():
+    taken = []
+
+    def stream(hops):
+        for n, hop in enumerate(hops):
+            taken.append(n)
+            yield ReceivedCodeword(n, 2, 0x5 + hop, {hop})
+
+    for limit in (0, 1, 4):
+        taken.clear()
+        result = decode_stream(stream([1] * 10), 2, limit=limit)
+        assert not result.complete and result.used == limit == len(taken)
+    taken.clear()
+    result = decode_stream(stream([1, 1, 2, 2, 1]), 2, limit=10)
+    assert result.complete and result.used == 3 == len(taken)
+
+
 def test_peeling_order_insensitive_outcome():
     rng = np.random.default_rng(7)
     k = 6

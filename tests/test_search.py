@@ -72,14 +72,14 @@ def test_gradient_matches_finite_differences():
     for K in (3, 7, 12):
         x = project_invariant_polytope(rng.dirichlet(np.ones(K)))
         for second in (False, True):
-            f, g = _objective_and_grad(x, K, second)
+            f, g, _ = _objective_and_grad(x, K, second)
             h = 1e-7
             for j in range(K):
                 xp, xm = x.copy(), x.copy()
                 xp[j] += h
                 xm[j] -= h
-                fp, _ = _objective_and_grad(xp, K, second)
-                fm, _ = _objective_and_grad(xm, K, second)
+                fp, _, _ = _objective_and_grad(xp, K, second)
+                fm, _, _ = _objective_and_grad(xm, K, second)
                 fd = (fp - fm) / (2 * h)
                 assert abs(g[j] - fd) <= 1e-5 * max(1.0, abs(fd))
 
