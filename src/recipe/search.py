@@ -97,38 +97,79 @@ def _mean_field_coeffs(K: int):
     return _COEFF_CACHE[K]
 
 
-def _objective_and_grad(mass: np.ndarray, K: int, second_order: bool):
-    """One pass of the t-recursion: the objective, its exact gradient
-    (forward accumulation; clamped terms contribute zero gradient) and
-    the per-rank terms.  Returns (total, grad, MeanFieldTerms), where
-    total is the running sum of t in rank order."""
+def _mean_field_values(mass: np.ndarray, K: int, second_order: bool):
+    """The value pass: the t-recursion alone, on Python floats.  Returns
+    (total, MeanFieldTerms, ranks), where total is the running sum of t in
+    rank order and ranks lists (j, factor, num) for every unclamped rank j:
+    what the gradient pass reads besides the terms, factor being
+    d released / d rel_j under the second-order toggle (None without)."""
     rel_m, suc_m = _mean_field_coeffs(K)
     p_rel = rel_m @ mass
     p_suc = suc_m @ mass
     if p_suc[0] <= 0.0:
         raise RangeError("mu(1) = 0: the first message can never be decoded")
-    t = np.zeros(K)
-    s = np.zeros(K)
-    grad = np.zeros(K)
+    t = [0.0] * K
+    s = [0.0] * K
+    ranks = []
     running = 0.0
-    d_running = np.zeros(K)
-    for j in range(K):
+    factor = None
+    for j, (rel, suc) in enumerate(zip(p_rel.tolist(), p_suc.tolist())):
         s[j] = running
-        rel_j = running * p_rel[j]
-        d_rel_j = d_running * p_rel[j] + running * rel_m[j]
+        rel_j = running * rel
         if second_order:
             released = rel_j - 0.5 * rel_j * rel_j / (K - j)
-            d_released = (1.0 - rel_j / (K - j)) * d_rel_j
+            factor = 1.0 - rel_j / (K - j)
         else:
-            released, d_released = rel_j, d_rel_j
+            released = rel_j
         num = 1.0 - released
         if num > 0.0:
-            t[j] = num / p_suc[j]
-            d_t_j = (-d_released * p_suc[j] - num * suc_m[j]) / (p_suc[j] ** 2)
-            grad += d_t_j
-            d_running = d_running + d_t_j
+            t[j] = num / suc
+            ranks.append((j, factor, num))
         running += t[j]
-    return running, grad, MeanFieldTerms(K, p_rel, p_suc, t, s)
+    # total is a numpy scalar: the descent's trace rows carry it, and their
+    # repr is pinned output.
+    terms = MeanFieldTerms(K, p_rel, p_suc, np.array(t), np.array(s))
+    return np.float64(running), terms, ranks
+
+
+def _mean_field_grad(terms: MeanFieldTerms, ranks: list) -> np.ndarray:
+    """The gradient pass: forward accumulation over the unclamped ranks of
+    a value pass (clamped terms contribute zero gradient).  Per rank,
+        d_t_j = (-d_released * Psuc_j - num * Suc[j]) / Psuc_j ** 2,
+    with d_released = factor * (d_S_j * Prel_j + S_j * Rel[j]), computed
+    in place with the operands and order of that formula (-x * p is
+    written x * -p, the same IEEE product).  The gradient and d_S
+    accumulate the same d_t_j in the same order, so one buffer is both."""
+    rel_m, suc_m = _mean_field_coeffs(terms.K)
+    idx, factors, nums = zip(*ranks)
+    idx = list(idx)
+    s_rel = rel_m[idx] * terms.s[idx, None]
+    num_suc = suc_m[idx] * np.array(nums)[:, None]
+    p_suc = terms.p_suc[idx]
+    # Numpy scalar ** 2 is libm pow, which differs from x * x and from
+    # array ** 2 in the last bit on about 0.1% of inputs: keep it.
+    p_suc_sq = [p ** 2 for p in p_suc]
+    d_running = np.zeros(terms.K)
+    d_t = np.empty(terms.K)
+    for p_rel_j, factor, neg_suc_j, sq_j, s_rel_j, num_suc_j in zip(
+            terms.p_rel[idx].tolist(), factors, (-p_suc).tolist(), p_suc_sq, s_rel, num_suc):
+        np.multiply(d_running, p_rel_j, out=d_t)
+        np.add(d_t, s_rel_j, out=d_t)
+        if factor is not None:
+            np.multiply(d_t, factor, out=d_t)
+        np.multiply(d_t, neg_suc_j, out=d_t)
+        np.subtract(d_t, num_suc_j, out=d_t)
+        np.divide(d_t, sq_j, out=d_t)
+        np.add(d_running, d_t, out=d_running)
+    return d_running
+
+
+def _objective_and_grad(mass: np.ndarray, K: int, second_order: bool):
+    """The objective, its exact gradient and the per-rank terms: a value
+    pass, then a gradient pass over its ranks.  Returns (total, grad,
+    MeanFieldTerms), where total is the running sum of t in rank order."""
+    total, terms, ranks = _mean_field_values(mass, K, second_order)
+    return total, _mean_field_grad(terms, ranks), terms
 
 
 def mean_field_objective(mu: Xdd, second_order: bool = False):
@@ -137,7 +178,7 @@ def mean_field_objective(mu: Xdd, second_order: bool = False):
     Returns (total, MeanFieldTerms).  Deterministic: identical input gives
     bit-identical output.
     """
-    _, _, terms = _objective_and_grad(np.asarray(mu.mass), mu.k, second_order)
+    _, terms, _ = _mean_field_values(np.asarray(mu.mass), mu.k, second_order)
     if (terms.p_rel > 1.0 + 1e-9).any() or (terms.p_suc > 1.0 + 1e-9).any():
         raise InternalConsistencyError("mean-field probability above 1")
     return float(terms.t.sum()), terms
@@ -157,27 +198,23 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
 
 
 def _isotonic_nonincreasing(y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Weighted least-squares fit of a nonincreasing vector (PAVA)."""
+    """Weighted least-squares fit of a nonincreasing vector (PAVA): each
+    new block pools with the blocks before it that it exceeds, then is
+    pushed."""
     vals = []
     wts = []
     counts = []
-    for yi, wi in zip(y, w):
-        vals.append(yi)
-        wts.append(wi)
-        counts.append(1)
-        while len(vals) > 1 and vals[-2] < vals[-1]:
-            v2, w2, c2 = vals.pop(), wts.pop(), counts.pop()
-            v1, w1, c1 = vals.pop(), wts.pop(), counts.pop()
+    for v2, w2 in zip(y.tolist(), w.tolist()):
+        c2 = 1
+        while vals and vals[-1] < v2:
+            v1, w1 = vals.pop(), wts.pop()
+            c2 += counts.pop()
             wt = w1 + w2
-            vals.append((v1 * w1 + v2 * w2) / wt)
-            wts.append(wt)
-            counts.append(c1 + c2)
-    out = np.empty(y.size)
-    pos = 0
-    for v, c in zip(vals, counts):
-        out[pos:pos + c] = v
-        pos += c
-    return out
+            v2, w2 = (v1 * w1 + v2 * w2) / wt, wt
+        vals.append(v2)
+        wts.append(w2)
+        counts.append(c2)
+    return np.repeat(vals, counts)
 
 
 def _project_chain_cone(v: np.ndarray) -> np.ndarray:
@@ -296,10 +333,12 @@ def _qps_descend(mass: np.ndarray, K: int, second_order: bool, tag: int,
         while lr > 1e-16:
             dy = _project_weighted_simplex(delta - lr * gd, w)
             y = _mass_from_delta(dy)
-            fy, gy, _ = _objective_and_grad(y, K, second_order)
+            fy, _, _ = _mean_field_values(y, K, second_order)
             if fy < f - 1e-13:
+                # Trial steps are scored by value; the gradient is taken
+                # only where the descent moves.
                 delta, x, f = dy, y, fy
-                gd = _grad_to_delta(gy)
+                gd = _grad_to_delta(_objective_and_grad(y, K, second_order)[1])
                 lr *= 1.4
                 improved = True
                 break

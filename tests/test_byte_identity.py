@@ -5,9 +5,10 @@ must not move: curve CSVs (degree-based at the paper's K=59, table-based
 and PINT across the 64-hop word boundary), an action table file, the
 XOR-set masks of every scheme at k = 64 and 65 (as generated and as
 replayed at the destination), a backward (HRS) search's sequence and
-per-hop scores, quadratic (QPS) searches' sequences and descent traces, and
-the mean-field objective's per-rank terms.  A digest changes only with a deliberate change to an
-output format or to the sampling, and is then re-pinned in the same change.
+per-hop scores, quadratic (QPS) searches' sequences and descent traces, the
+mean-field objective's per-rank terms, and its gradient.  A digest changes
+only with a deliberate change to an output format or to the sampling, and
+is then re-pinned in the same change.
 """
 
 import hashlib
@@ -17,11 +18,12 @@ import pytest
 
 from recipe.cli import main
 from recipe.decoder import replay_xor_mask
-from recipe.distributions import PintParams, shifted_soliton
+from recipe.distributions import PintParams, robust_soliton, shifted_soliton
 from recipe.evaluation import PintScheme, RecipeDScheme, RecipeTScheme
 from recipe.feasibility import read_apa
 from recipe.protocol import read_avst
-from recipe.search import SearchConfig, hrs_search, mean_field_objective, qps_search
+from recipe.search import (SearchConfig, _objective_and_grad, hrs_search, mean_field_objective,
+                           project_invariant_polytope, qps_search)
 from recipe.xdd import sequence_to_json
 
 AVST_SHA = "62ce0ba47825baa17459f00436835b72f338a13c1b06f1ebef9ffced9fa5f32c"
@@ -40,6 +42,7 @@ QPS_SHA = {
     30: "d9650a41a80c61e6decc3d8aac3cac72a3bffc910c5c09ea01d5c962e5009bb4",
 }
 MEAN_FIELD_SHA = "22102e147fa1584a1a52725cc4748edef28b8a66bba5aefaae836d64de2be7eb"
+GRADIENT_SHA = "ed4e875a3329cb2cbac86ecb4153cd682e6f50aa6fdfad63febe7ffd0fc615cc"
 
 
 def _sha(data: bytes) -> str:
@@ -118,3 +121,22 @@ def test_mean_field_objective_terms_pinned():
             for a in (terms.p_rel, terms.p_suc, terms.t, terms.s):
                 h.update(a.tobytes())
     assert h.hexdigest() == MEAN_FIELD_SHA
+
+
+def test_objective_gradient_pinned():
+    # The descent's (total, grad) at the points it visits: feasible masses.
+    # A last-bit change in the gradient (say, Psuc**2 as Psuc*Psuc) shows
+    # only where it is not absorbed by the later sums; 48 Dirichlet draws
+    # per K are enough for that one to show.
+    h = hashlib.sha256()
+    for K in (8, 59, 236):
+        rng = np.random.default_rng(K)
+        masses = [shifted_soliton(K).mass, robust_soliton(K).mass,
+                  *(project_invariant_polytope(m) for m in rng.dirichlet(np.ones(K), size=48))]
+        for mass in masses:
+            for second_order in (False, True):
+                total, grad, _ = _objective_and_grad(np.asarray(mass, dtype=float), K,
+                                                     second_order)
+                h.update(repr(total).encode())
+                h.update(grad.tobytes())
+    assert h.hexdigest() == GRADIENT_SHA

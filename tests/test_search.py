@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from recipe import search
 from recipe.distributions import shifted_soliton
 from recipe.errors import RangeError
 from recipe.feasibility import check_feasible, check_invariant_feasible, _rhs_mu
@@ -242,6 +243,25 @@ def test_qps_trace_records_progress():
     trace = []
     qps_search(6, SearchConfig(restarts=1, seed=6), trace=trace)
     assert trace and len(trace[0]) == 3
+
+
+def test_qps_gradient_only_on_accepted_steps(monkeypatch):
+    # Line-search trials are scored by value alone: the gradient is taken
+    # once per start and once per accepted step.  Each start writes one
+    # trace row per iteration, its last one the non-improving iteration
+    # that stops it, so the gradients and the rows are equally many.
+    calls = []
+    counted = search._objective_and_grad
+
+    def counting(*args):
+        calls.append(args)
+        return counted(*args)
+
+    monkeypatch.setattr(search, "_objective_and_grad", counting)
+    rows = []
+    qps_search(30, SearchConfig(restarts=2, seed=8), trace=rows)
+    assert max(it for _, it, _ in rows) < 1999  # no start ran out of iterations
+    assert len(calls) == len(rows)
 
 
 def test_search_config_validation():
