@@ -76,9 +76,7 @@ from .evaluation import (  # noqa: F401
     PintScheme,
     RecipeDScheme,
     RecipeTScheme,
-    TrialResult,
     compare_t_vs_d,
     efficiency_curve,
-    run_instance,
     tune_pint,
 )

@@ -64,10 +64,12 @@ from .protocol import (
 )
 from .search import SearchConfig, hrs_search, qps_search
 from .xdd import (
-    Xdd,
     _atomic_write_text,
     read_sequence,
+    read_xdd,
+    sequence_to_json,
     write_sequence,
+    xdd_to_json,
 )
 
 EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_RUNTIME = 0, 1, 2, 3
@@ -126,6 +128,15 @@ def _scheme_from_args(args, K: int):
     return RecipeDScheme(apa=apa, seed=args.seed)
 
 
+def _emit(args, text: str, inputs: list[str]) -> None:
+    """Write an output to -o atomically, with its manifest, or else to stdout."""
+    if args.output:
+        _atomic_write_text(args.output, text)
+        _write_manifest(args.output, args, inputs)
+    else:
+        sys.stdout.write(text)
+
+
 # ---------------------------------------------------------------------------
 # Subcommand implementations.
 
@@ -133,35 +144,20 @@ def _scheme_from_args(args, K: int):
 def _cmd_dist(args) -> int:
     kind = args.kind
     if kind == "shifted-soliton":
-        seq = shifted_soliton_sequence(args.K)
+        text = sequence_to_json(shifted_soliton_sequence(args.K))
     elif kind == "ideal-soliton":
-        seq = ideal_soliton_sequence(args.K)
+        text = sequence_to_json(ideal_soliton_sequence(args.K))
     elif kind == "pint":
-        seq = pint_sequence(args.K, PintParams(args.alpha, args.p))
+        text = sequence_to_json(pint_sequence(args.K, PintParams(args.alpha, args.p)))
     elif kind == "robust-soliton":
-        xdd = robust_soliton(args.K, args.c, args.delta)
-        doc = {"k": xdd.k, "mu": [float(v) for v in xdd.mass]}
-        text = json.dumps(doc) + "\n"
-        if args.output:
-            _atomic_write_text(args.output, text)
-            _write_manifest(args.output, args, [])
-        else:
-            sys.stdout.write(text)
-        return EXIT_OK
+        text = xdd_to_json(robust_soliton(args.K, args.c, args.delta))
     elif kind == "invariant":
         if not args.source:
             raise RangeError("`dist invariant` needs --from <single-xdd.json>")
-        with open(args.source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        seq = expand_invariant(Xdd(int(doc["k"]), doc["mu"]))
+        text = sequence_to_json(expand_invariant(read_xdd(args.source)))
     else:  # pragma: no cover - argparse restricts choices
         raise RangeError(f"unknown distribution {kind}")
-    if args.output:
-        write_sequence(seq, args.output)
-        _write_manifest(args.output, args, [args.source] if kind == "invariant" else [])
-    else:
-        from .xdd import sequence_to_json
-        sys.stdout.write(sequence_to_json(seq))
+    _emit(args, text, [args.source] if kind == "invariant" else [])
     return EXIT_OK
 
 
@@ -258,15 +254,11 @@ def _cmd_search(args) -> int:
         trace_rows = ["start,iteration,objective"] + [
             f"{a},{b},{c:.17g}" for a, b, c in trace]
     else:
-        mu_K = None
-        if args.start:
-            with open(args.start, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-            mu_K = Xdd(int(doc["k"]), doc["mu"])
+        mu_K = read_xdd(args.start) if args.start else None
         seq = hrs_search(args.K, config, mu_K=mu_K, trace=trace)
         trace_rows = ["path_length,best_score"] + [f"{a},{b:.17g}" for a, b in trace]
     write_sequence(seq, args.output)
-    _write_manifest(args.output, args, [args.start] if getattr(args, "start", None) else [])
+    _write_manifest(args.output, args, [args.start] if args.start else [])
     if args.trace:
         _atomic_write_text(args.trace, "\n".join(trace_rows) + "\n")
     print(f"wrote {args.algorithm} sequence for K={seq.K} to {args.output}")
@@ -282,13 +274,7 @@ def _cmd_evaluate(args) -> int:
         ks = sorted({int(x) for x in args.ks.split(",")})
     curve = efficiency_curve(scheme, args.K, args.trials, args.seed,
                              ks=ks, threads=args.threads)
-    csv_text = curves_to_csv([curve])
-    if args.output:
-        _atomic_write_text(args.output, csv_text)
-        inputs = [p for p in (args.seq, args.apa, args.avst) if p]
-        _write_manifest(args.output, args, inputs)
-    else:
-        sys.stdout.write(csv_text)
+    _emit(args, curves_to_csv([curve]), [p for p in (args.seq, args.apa, args.avst) if p])
     return EXIT_OK
 
 
@@ -309,12 +295,7 @@ def _cmd_compare(args) -> int:
             except RangeError:
                 cells.extend(["", ""])
         rows.append(",".join(cells))
-    text = "\n".join(rows) + "\n"
-    if args.output:
-        _atomic_write_text(args.output, text)
-        _write_manifest(args.output, args, list(args.curves))
-    else:
-        sys.stdout.write(text)
+    _emit(args, "\n".join(rows) + "\n", list(args.curves))
     return EXIT_OK
 
 

@@ -395,7 +395,6 @@ class DecodeResult:
     resolved: dict[int, int]
     used: int
     complete: bool
-    state: PeelingState = field(repr=False, default=None)
 
 
 def decode_stream(codewords, k: int, limit: int | None = None) -> DecodeResult:
@@ -410,4 +409,4 @@ def decode_stream(codewords, k: int, limit: int | None = None) -> DecodeResult:
     state = PeelingState(k)
     used = state.absorb((_checked_mask(state, cw), cw.codeword)
                         for cw in islice(codewords, limit))
-    return DecodeResult(dict(state.resolved), used, state.complete, state)
+    return DecodeResult(state.resolved, used, state.complete)

@@ -50,15 +50,6 @@ def derive_seed(master: int, a: int, b: int = 0) -> int:
     return _mix64((master ^ (a * _SEED_C1) ^ (b * _SEED_C2)) & (2**64 - 1))
 
 
-@dataclass(frozen=True)
-class TrialResult:
-    """One instance: path length, codewords consumed, whether it finished."""
-
-    k: int
-    used: int
-    completed: bool
-
-
 def _draw_switch_ids(rng, k: int) -> np.ndarray:
     """k distinct nonzero 32-bit switch IDs."""
     ids = rng.integers(1, 2**32, size=k, dtype=_U64)
@@ -118,13 +109,6 @@ def _verify_resolution(state: PeelingState, switch_ids: np.ndarray) -> None:
         if value != int(switch_ids[hop - 1]):
             raise InternalConsistencyError(
                 f"hop {hop} decoded to {value}, ground truth {int(switch_ids[hop - 1])}")
-
-
-def run_instance(k: int, scheme, seed: int) -> TrialResult:
-    """One randomized path-tracing instance; `used` is the per-trial
-    coding-efficiency statistic (capped at 200k packets)."""
-    used, completed = run_trials(scheme, k, [seed])
-    return TrialResult(k, int(used[0]), bool(completed[0]))
 
 
 @dataclass(frozen=True)

@@ -87,7 +87,7 @@ def _rhs_mu(mass_i: np.ndarray, i: int) -> np.ndarray:
     return mass_i[: i - 1] * (i - d) / i + mass_i[1:i] * (d + 1) / i
 
 
-def check_feasible(seq: XddSequence, tol: float = SLACK_TOL) -> FeasibilityReport:
+def check_feasible(seq: XddSequence) -> FeasibilityReport:
     """Check every constraint of (*); report violations in q-space."""
     if not isinstance(seq, XddSequence):
         raise SequenceValidationError("check_feasible expects an XddSequence")
@@ -95,7 +95,7 @@ def check_feasible(seq: XddSequence, tol: float = SLACK_TOL) -> FeasibilityRepor
     for i in range(2, seq.K + 1):
         lhs = seq.xdds[i - 2].mass
         rhs = _rhs_mu(seq.xdds[i - 1].mass, i)
-        bad = np.nonzero(lhs - rhs < -tol)[0]
+        bad = np.nonzero(lhs - rhs < -SLACK_TOL)[0]
         for idx in bad:
             d = int(idx) + 1
             c = math.comb(i - 1, d)
@@ -108,7 +108,7 @@ def check_feasible(seq: XddSequence, tol: float = SLACK_TOL) -> FeasibilityRepor
     return FeasibilityReport(not violations, tuple(violations))
 
 
-def check_invariant_feasible(mu_K: Xdd, tol: float = SLACK_TOL) -> FeasibilityReport:
+def check_invariant_feasible(mu_K: Xdd) -> FeasibilityReport:
     """Feasibility of the invariant sequence determined by a final-hop XDD.
 
     The whole chain reduces to mu(d) >= (d+1)/d * mu(d+1) for
@@ -120,7 +120,7 @@ def check_invariant_feasible(mu_K: Xdd, tol: float = SLACK_TOL) -> FeasibilityRe
     for d in range(1, K - 1):
         lhs = mu_K.mu(d)
         rhs = (d + 1) / d * mu_K.mu(d + 1)
-        if lhs - rhs < -tol:
+        if lhs - rhs < -SLACK_TOL:
             violations.append(Violation(d + 2, d, lhs, rhs))
     return FeasibilityReport(not violations, tuple(violations))
 
@@ -176,13 +176,13 @@ class Apa:
         return h.hexdigest()
 
 
-def derive_apa(seq: XddSequence, tol: float = SLACK_TOL) -> Apa:
+def derive_apa(seq: XddSequence) -> Apa:
     """Derive the APA realizing a feasible sequence.
 
     Raises InfeasibleSequenceError (with the report) when the sequence
     fails (*): per the necessity proof no APA can realize it.
     """
-    report = check_feasible(seq, tol=tol)
+    report = check_feasible(seq)
     if not report.feasible:
         raise InfeasibleSequenceError(report)
     triples = [np.array([[0.0, 0.0, 1.0]])]

@@ -51,6 +51,13 @@ from .xdd import Xdd, XddSequence, binomial_log, sequence_from_masses
 # and peeling needs degree-1 mass anyway.
 MU1_FLOOR = 1e-6
 
+# Dykstra rounds per projection, and QPS descent steps per start.
+_DYKSTRA_ITERS = 60
+_QPS_MAX_ITERS = 2000
+
+# Codewords per hop that one HRS scoring trial may consume (at least 12).
+_BANK_CAP_FACTOR = 6
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -176,25 +183,37 @@ def mean_field_objective(mu: Xdd, second_order: bool = False):
     """Approximate expected codewords to decode all K messages.
 
     Returns (total, MeanFieldTerms).  Deterministic: identical input gives
-    bit-identical output.
+    bit-identical output.  Raises RangeError when mu(1) = 0 or when the
+    total overflows, as the second-order correction can on XDDs far from
+    the invariant polytope.
     """
     _, terms, _ = _mean_field_values(np.asarray(mu.mass), mu.k, second_order)
     if (terms.p_rel > 1.0 + 1e-9).any() or (terms.p_suc > 1.0 + 1e-9).any():
         raise InternalConsistencyError("mean-field probability above 1")
-    return float(terms.t.sum()), terms
+    total = float(terms.t.sum())
+    if not math.isfinite(total):
+        raise RangeError(f"mean-field objective is not finite ({total}) for this XDD")
+    return total, terms
 
 
 # ---------------------------------------------------------------------------
 # Projection onto {simplex} n {chain mu(d) >= (d+1)/d mu(d+1), d <= K-2}.
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    rho = np.nonzero(u - css / np.arange(1, v.size + 1) > 0)[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
+def _project_weighted_simplex(y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Euclidean projection onto {x >= 0, w . x = 1} (w > 0)."""
+    b = y / w
+    order = np.argsort(b)[::-1]
+    cy = np.cumsum((y * w)[order])
+    cw = np.cumsum((w * w)[order])
+    theta = (cy - 1.0) / cw
+    valid = np.nonzero(b[order] - theta > 0)[0]
+    if valid.size == 0:
+        x = np.zeros_like(y)
+        x[np.argmax(y / w)] = 1.0 / w[np.argmax(y / w)]
+        return x
+    t = theta[valid[-1]]
+    return np.maximum(y - t * w, 0.0)
 
 
 def _isotonic_nonincreasing(y: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -234,27 +253,27 @@ def _project_chain_cone(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def project_invariant_polytope(v: np.ndarray, iters: int = 60,
-                               mu1_floor: float = MU1_FLOOR) -> np.ndarray:
+def project_invariant_polytope(v: np.ndarray) -> np.ndarray:
     """Dykstra's alternating projection onto the invariant-feasible set,
     finishing with an exact restoration pass (cone projection, positivity,
     normalization) so the output always satisfies every constraint."""
     x = np.asarray(v, dtype=float).copy()
+    ones = np.ones_like(x)
     p = np.zeros_like(x)
     q = np.zeros_like(x)
     # No movement-based early exit: Dykstra's iterate can stall for a few
     # rounds while the correction vectors still evolve.
-    for _ in range(iters):
+    for _ in range(_DYKSTRA_ITERS):
         y = _project_chain_cone(x + p)
         p = x + p - y
-        x = _project_simplex(y + q)
+        x = _project_weighted_simplex(y + q, ones)
         q = y + q - x
     x = _project_chain_cone(x)
     x = np.maximum(x, 0.0)
-    x[0] = max(x[0], mu1_floor)
+    x[0] = max(x[0], MU1_FLOOR)
     x /= x.sum()
-    if x[0] < mu1_floor:
-        x[0] = mu1_floor
+    if x[0] < MU1_FLOOR:
+        x[0] = MU1_FLOOR
         x /= x.sum()
     return x
 
@@ -301,24 +320,7 @@ def _grad_to_delta(g_mu: np.ndarray) -> np.ndarray:
     return g_delta
 
 
-def _project_weighted_simplex(y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {x >= 0, w . x = 1} (w > 0)."""
-    b = y / w
-    order = np.argsort(b)[::-1]
-    cy = np.cumsum((y * w)[order])
-    cw = np.cumsum((w * w)[order])
-    theta = (cy - 1.0) / cw
-    valid = np.nonzero(b[order] - theta > 0)[0]
-    if valid.size == 0:
-        x = np.zeros_like(y)
-        x[np.argmax(y / w)] = 1.0 / w[np.argmax(y / w)]
-        return x
-    t = theta[valid[-1]]
-    return np.maximum(y - t * w, 0.0)
-
-
-def _qps_descend(mass: np.ndarray, K: int, second_order: bool, tag: int,
-                 max_iters: int = 2000):
+def _qps_descend(mass: np.ndarray, K: int, second_order: bool, tag: int):
     """Projected gradient descent with backtracking from one start point.
     Returns (x, f, trace rows (tag, iteration, f))."""
     w = _delta_weights(K)
@@ -328,7 +330,7 @@ def _qps_descend(mass: np.ndarray, K: int, second_order: bool, tag: int,
     gd = _grad_to_delta(g)
     lr = 0.25 / max(np.abs(gd).max(), 1e-12)
     trace = []
-    for it in range(max_iters):
+    for it in range(_QPS_MAX_ITERS):
         improved = False
         while lr > 1e-16:
             dy = _project_weighted_simplex(delta - lr * gd, w)
@@ -452,18 +454,25 @@ def sample_feasible_predecessors(mu_i: Xdd, n: int, rng) -> np.ndarray:
     return base[None, :] + gammas
 
 
+def _walk_back(mu_K: Xdd, pick) -> XddSequence:
+    """The backward walk both searches share: from mu_K down to path
+    length 1, pick(mu_i) gives a feasible predecessor's mass vector,
+    which is normalized to become mu_(i-1)."""
+    masses = [np.asarray(mu_K.mass)]
+    cur = mu_K
+    for i in range(mu_K.k, 1, -1):
+        mass = pick(cur)
+        cur = Xdd(i - 1, mass / mass.sum())
+        masses.append(np.asarray(cur.mass))
+    return sequence_from_masses(list(reversed(masses)))
+
+
 def random_feasible_sequence(K: int, rng, mu_K: Xdd | None = None) -> XddSequence:
     """A random feasible sequence: random (or given) final-hop XDD, then
     one uniformly slack-sampled predecessor per hop, backward."""
     if mu_K is None:
         mu_K = Xdd(K, rng.dirichlet(np.ones(K)))
-    masses = [np.asarray(mu_K.mass)]
-    cur = mu_K
-    for i in range(K, 1, -1):
-        mass = sample_feasible_predecessors(cur, 1, rng)[0]
-        cur = Xdd(i - 1, mass / mass.sum())
-        masses.append(np.asarray(cur.mass))
-    return sequence_from_masses(list(reversed(masses)))
+    return _walk_back(mu_K, lambda cur: sample_feasible_predecessors(cur, 1, rng)[0])
 
 
 class _ScoringBank:
@@ -475,10 +484,10 @@ class _ScoringBank:
     Incomplete trials score at the bank's cap, pessimistically.
     """
 
-    def __init__(self, m: int, trials: int, rng, cap_factor: int = 6):
+    def __init__(self, m: int, trials: int, rng):
         self.m = m
         self.trials = trials
-        self.cap = max(cap_factor * m, 12)
+        self.cap = max(_BANK_CAP_FACTOR * m, 12)
         self.u = rng.random((trials, self.cap))
         orders = np.tile(np.arange(m, dtype=np.int16), (trials * self.cap, 1))
         orders = rng.permuted(orders, axis=1).reshape(trials, self.cap, m)
@@ -520,23 +529,20 @@ def hrs_search(K: int, config: SearchConfig = SearchConfig(),
     if K == 1:
         return sequence_from_masses([[1.0]])
     rng = np.random.default_rng(config.seed)
-    masses = [np.asarray(mu_K.mass)]
-    cur = mu_K
-    for i in range(K, 1, -1):
+
+    def pick(cur: Xdd) -> np.ndarray:
+        i = cur.k
         cands = sample_feasible_predecessors(cur, config.candidates_per_hop, rng)
         if i - 1 == 1:
-            best = cands[0]
-        else:
-            bank = _ScoringBank(i - 1, config.trials_per_candidate,
-                                np.random.default_rng(config.seed ^ (i << 20)))
-            scores = [bank.score(c) for c in cands]
-            best = cands[int(np.argmin(scores))]
-            if trace is not None:
-                trace.append((i - 1, float(min(scores))))
-        best = best / best.sum()
-        cur = Xdd(i - 1, best)
-        masses.append(best)
-    seq = sequence_from_masses(list(reversed(masses)))
+            return cands[0]
+        bank = _ScoringBank(i - 1, config.trials_per_candidate,
+                            np.random.default_rng(config.seed ^ (i << 20)))
+        scores = [bank.score(c) for c in cands]
+        if trace is not None:
+            trace.append((i - 1, float(min(scores))))
+        return cands[int(np.argmin(scores))]
+
+    seq = _walk_back(mu_K, pick)
     report = check_feasible(seq)
     if not report.feasible:
         raise InternalConsistencyError("search returned an infeasible sequence")

@@ -118,26 +118,6 @@ def mu_to_q(xdd: Xdd, d: int) -> float:
     return math.exp(math.log(m) - binomial_log(xdd.k, d))
 
 
-def xdd_to_q_table(xdd: Xdd) -> np.ndarray:
-    """All q(d), d = 1..k, for one XDD."""
-    return np.array([mu_to_q(xdd, d) for d in range(1, xdd.k + 1)])
-
-
-def xdd_from_q_table(k: int, q: np.ndarray) -> Xdd:
-    """Rebuild an XDD from its per-set probabilities: mu(d) = q(d) * C(k, d)."""
-    q = np.asarray(q, dtype=float)
-    mass = np.empty(k)
-    for d in range(1, k + 1):
-        c = math.comb(k, d)
-        if q[d - 1] == 0.0:
-            mass[d - 1] = 0.0
-        elif c <= _EXACT_COMB_LIMIT:
-            mass[d - 1] = q[d - 1] * c
-        else:
-            mass[d - 1] = math.exp(math.log(q[d - 1]) + binomial_log(k, d))
-    return Xdd(k, mass)
-
-
 @dataclass(frozen=True)
 class XddSequence:
     """One XDD per possible path length 1..K; the object defining a code.
@@ -209,6 +189,37 @@ def sequence_from_json(text: str) -> XddSequence:
         mass = np.asarray(row, dtype=float)
         xdds.append(Xdd(i, mass / mass.sum()))
     return XddSequence(K, tuple(xdds))
+
+
+# ---------------------------------------------------------------------------
+# Single-XDD file format: {"k": int, "mu": [...]}, one length-k mass vector
+# (a final-hop XDD to expand, or to start a search from).  The reader
+# accepts what the sequence reader accepts, but renormalizes only a sum
+# outside the constructed-distribution tolerance, so a file that already
+# meets it is read back bit for bit.
+
+def xdd_to_json(xdd: Xdd) -> str:
+    return json.dumps({"k": xdd.k, "mu": [float(v) for v in xdd.mass]}) + "\n"
+
+
+def xdd_from_json(text: str) -> Xdd:
+    doc = json.loads(text)
+    try:
+        k = int(doc["k"])
+        mu = doc["mu"]
+    except (KeyError, TypeError) as exc:
+        raise SequenceValidationError(f"malformed single-XDD document: {exc}") from exc
+    issues = validate_xdd((k, mu), tol=SUM_TOL_FILE)
+    if issues:
+        raise SequenceValidationError(f"invalid XDD (k={k}): " + "; ".join(issues))
+    mass = np.asarray(mu, dtype=float)
+    total = mass.sum()
+    return Xdd(k, mass if abs(total - 1.0) <= SUM_TOL else mass / total)
+
+
+def read_xdd(path) -> Xdd:
+    with open(path, "r", encoding="utf-8") as fh:
+        return xdd_from_json(fh.read())
 
 
 def write_sequence(seq: XddSequence, path) -> None:

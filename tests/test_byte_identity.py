@@ -6,7 +6,10 @@ and PINT across the 64-hop word boundary), an action table file, the
 XOR-set masks of every scheme at k = 64 and 65 (as generated and as
 replayed at the destination), a backward (HRS) search's sequence and
 per-hop scores, quadratic (QPS) searches' sequences and descent traces, the
-mean-field objective's per-rank terms, and its gradient.  A digest changes
+mean-field objective's per-rank terms, its gradient, the invariant-polytope
+projection, random feasible sequences, and the single-XDD files of the CLI
+(a Robust Soliton XDD, its invariant expansion and an HRS search started
+from it).  A digest changes
 only with a deliberate change to an output format or to the sampling, and
 is then re-pinned in the same change.
 """
@@ -23,7 +26,7 @@ from recipe.evaluation import PintScheme, RecipeDScheme, RecipeTScheme
 from recipe.feasibility import read_apa
 from recipe.protocol import read_avst
 from recipe.search import (SearchConfig, _objective_and_grad, hrs_search, mean_field_objective,
-                           project_invariant_polytope, qps_search)
+                           project_invariant_polytope, qps_search, random_feasible_sequence)
 from recipe.xdd import sequence_to_json
 
 AVST_SHA = "62ce0ba47825baa17459f00436835b72f338a13c1b06f1ebef9ffced9fa5f32c"
@@ -43,6 +46,14 @@ QPS_SHA = {
 }
 MEAN_FIELD_SHA = "22102e147fa1584a1a52725cc4748edef28b8a66bba5aefaae836d64de2be7eb"
 GRADIENT_SHA = "ed4e875a3329cb2cbac86ecb4153cd682e6f50aa6fdfad63febe7ffd0fc615cc"
+PROJECTION_SHA = "03091e327812c04622b4dfa59e7502bedb15b449250ac0762615eeeec068b131"
+RANDOM_SEQUENCE_SHA = "5a6840ca8813c3c602526cedfa85e82c07b7bbc670bede40f962cf16c0deb4ac"
+SINGLE_XDD_FLOW_SHA = {
+    "rs8.json": "e91314bc7f31509b5d4372d716bbdcd611804b0422ad0e4ed119c75f0a247c6c",
+    "inv8.json": "8b2c2d7e79f3b0b8e08a222db758c4b72dcb067e927437bcad488e461fbdb17d",
+    "hrs8.json": "aa55a29f7964ac63539122b70835acc612a83ef6b16d6c3afed8320bc1f9b25b",
+    "hrs8.csv": "f33a67ae71d580d03b9e5c84c0fad0555f1e9762dc775406790af90032603fbb",
+}
 
 
 def _sha(data: bytes) -> str:
@@ -140,3 +151,33 @@ def test_objective_gradient_pinned():
                 h.update(repr(total).encode())
                 h.update(grad.tobytes())
     assert h.hexdigest() == GRADIENT_SHA
+
+
+def test_project_invariant_polytope_pinned():
+    h = hashlib.sha256()
+    for K in (2, 8, 59, 236):
+        rng = np.random.default_rng(K)
+        for v in rng.dirichlet(np.ones(K), size=16):
+            h.update(project_invariant_polytope(v).tobytes())
+    assert h.hexdigest() == PROJECTION_SHA
+
+
+def test_random_feasible_sequence_pinned():
+    h = hashlib.sha256()
+    for K, seed in ((2, 0), (7, 1), (16, 2), (59, 3)):
+        seq = random_feasible_sequence(K, np.random.default_rng(seed))
+        h.update(sequence_to_json(seq).encode())
+    assert h.hexdigest() == RANDOM_SEQUENCE_SHA
+
+
+def test_cli_single_xdd_flow_pinned(tmp_path, capsys):
+    rs8 = tmp_path / "rs8.json"
+    _cli("dist", "robust-soliton", "--K", 8, "-o", rs8)
+    capsys.readouterr()
+    _cli("dist", "robust-soliton", "--K", 8)
+    assert capsys.readouterr().out.encode() == rs8.read_bytes()
+    _cli("dist", "invariant", "--from", rs8, "-o", tmp_path / "inv8.json")
+    _cli("search", "hrs", "--K", 8, "--start", rs8, "--candidates", 4, "--trials", 16,
+         "--seed", 2, "--trace", tmp_path / "hrs8.csv", "-o", tmp_path / "hrs8.json")
+    for name, digest in SINGLE_XDD_FLOW_SHA.items():
+        assert _sha((tmp_path / name).read_bytes()) == digest, name

@@ -226,6 +226,33 @@ def test_dist_invariant_expansion(tmp_path, capsys):
     assert list(seq.xdd(2).mass) == pytest.approx([0.5, 0.5], abs=1e-12)
 
 
+def _single_xdd_commands(path, tmp_path):
+    return (["dist", "invariant", "--from", str(path), "-o", str(tmp_path / "seq.json")],
+            ["search", "hrs", "--K", "2", "--candidates", "2", "--trials", "4",
+             "--start", str(path), "-o", str(tmp_path / "hrs.json")])
+
+
+def test_single_xdd_file_missing_key_exit_2(tmp_path, capsys):
+    mu = tmp_path / "mu.json"
+    for doc in ({"mu": [0.5, 0.5]}, {"k": 2}):
+        mu.write_text(json.dumps(doc))
+        for argv in _single_xdd_commands(mu, tmp_path):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 2
+            assert "malformed single-XDD document" in err
+
+
+def test_single_xdd_file_within_file_tolerance(tmp_path, capsys):
+    # The same row passes `recipe check` inside a sequence file.
+    mu = tmp_path / "mu.json"
+    mu.write_text('{"k": 2, "mu": [0.1234567891, 0.8765432110]}')
+    for argv in _single_xdd_commands(mu, tmp_path):
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+    seq = read_sequence(tmp_path / "seq.json")
+    assert abs(float(seq.xdd(2).mass.sum()) - 1.0) < 1e-15
+
+
 def test_compare_joins_curves(tmp_path, capsys):
     ss = tmp_path / "ss.json"
     run_cli(capsys, "dist", "shifted-soliton", "--K", "3", "-o", str(ss))

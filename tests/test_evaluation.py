@@ -16,7 +16,6 @@ from recipe.evaluation import (
     efficiency_curve,
     mean_curve_gap,
     read_curves_csv,
-    run_instance,
     run_trials,
     tune_pint,
     write_curves_csv,
@@ -30,30 +29,28 @@ def _ss_scheme(K, seed=3):
     return RecipeDScheme(derive_apa(shifted_soliton_sequence(K)), seed=seed)
 
 
-def test_run_instance_single_hop_uses_one():
+def test_run_trials_single_hop_uses_one():
     for scheme in (
         _ss_scheme(4),
         PintScheme(PintParams(0.5, 0.3), seed=1, K=4),
     ):
-        result = run_instance(1, scheme, seed=11)
-        assert result.completed and result.used == 1
+        used, completed = run_trials(scheme, 1, [11])
+        assert completed.tolist() == [True] and used.tolist() == [1]
 
 
-def test_run_instance_completed_used_at_least_k():
-    scheme = _ss_scheme(6)
-    for t in range(50):
-        result = run_instance(6, scheme, seed=derive_seed(1, 6, t))
-        assert result.completed
-        assert result.used >= 6
+def test_run_trials_completed_used_at_least_k():
+    used, completed = run_trials(_ss_scheme(6), 6, [derive_seed(1, 6, t) for t in range(50)])
+    assert completed.all()
+    assert (used >= 6).all()
 
 
-def test_run_instance_matches_batched_trials():
+def test_run_trials_one_seed_alone_matches_the_batch():
     scheme = _ss_scheme(5)
     seeds = [derive_seed(2, 5, t) for t in range(40)]
     used, completed = run_trials(scheme, 5, seeds)
     for j, s in enumerate(seeds):
-        r = run_instance(5, scheme, seed=s)
-        assert r.used == used[j] and r.completed == completed[j]
+        alone_used, alone_completed = run_trials(scheme, 5, [s])
+        assert alone_used[0] == used[j] and alone_completed[0] == completed[j]
 
 
 def test_coupon_collector_mean_k3():
@@ -140,9 +137,9 @@ def test_recipe_t_single_row_table_caps_out():
     digest = "00" * 32
     avst = Avst(1, 3, np.array([[REPLACE, SKIP, SKIP]], dtype=np.uint8), 0, digest)
     scheme = RecipeTScheme(avst, seed=1)
-    result = run_instance(3, scheme, seed=3)
-    assert not result.completed
-    assert result.used == CAP_FACTOR * 3
+    used, completed = run_trials(scheme, 3, [3])
+    assert completed.tolist() == [False]
+    assert used.tolist() == [CAP_FACTOR * 3]
 
 
 def test_compare_t_vs_d_and_gap():

@@ -51,6 +51,15 @@ def test_mean_field_requires_degree_one_mass():
         mean_field_objective(Xdd(2, [0.0, 1.0]))
 
 
+def test_mean_field_objective_rejects_non_finite_total():
+    # Far from the polytope the second-order correction makes the running
+    # sum overflow; the first-order objective of the same XDD is finite.
+    mu = Xdd(236, np.random.default_rng(236).dirichlet(np.ones(236)))
+    assert np.isfinite(mean_field_objective(mu)[0])
+    with pytest.raises(RangeError, match="not finite"):
+        mean_field_objective(mu, second_order=True)
+
+
 def test_mean_field_deterministic():
     mu = Xdd(12, np.full(12, 1 / 12))
     a, _ = mean_field_objective(mu)
