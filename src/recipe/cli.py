@@ -65,6 +65,7 @@ from .protocol import (
 from .search import SearchConfig, hrs_search, qps_search
 from .xdd import (
     _atomic_write_text,
+    malformed,
     read_sequence,
     read_xdd,
     sequence_to_json,
@@ -224,10 +225,10 @@ def _cmd_decode(args) -> int:
             for line in fh:
                 if not line.strip():
                     continue
-                doc = json.loads(line)
-                pid = int(doc["packet_id"])
-                yield ReceivedCodeword(pid, args.k, int(doc["codeword"]),
-                                       replay_xor_mask(pid, args.k, scheme))
+                with malformed("codeword line"):
+                    doc = json.loads(line)
+                    pid, value = int(doc["packet_id"]), int(doc["codeword"])
+                yield ReceivedCodeword(pid, args.k, value, replay_xor_mask(pid, args.k, scheme))
 
     result = decode_stream(stream(), args.k)
     out = {
@@ -323,18 +324,15 @@ def _build_parser() -> _Parser:
     p.add_argument("--delta", type=float, default=0.5, help="robust soliton failure bound")
     p.add_argument("--from", dest="source", help="single-XDD JSON for `invariant`")
     p.add_argument("-o", "--output")
-    add_common(p)
     p.set_defaults(func=_cmd_dist)
 
     p = sub.add_parser("check", help="feasibility-check a sequence file")
     p.add_argument("sequence")
-    add_common(p)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("derive-apa", help="derive action probabilities from a sequence")
     p.add_argument("sequence")
     p.add_argument("-o", "--output", required=True)
-    add_common(p)
     p.set_defaults(func=_cmd_derive_apa)
 
     p = sub.add_parser("gen-avst", help="sample an action vector table from an APA")
@@ -394,7 +392,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("compare", help="join curve CSVs on k for plotting")
     p.add_argument("curves", nargs="+")
     p.add_argument("-o", "--output")
-    add_common(p)
     p.set_defaults(func=_cmd_compare)
 
     return parser

@@ -38,8 +38,6 @@ def shifted_soliton(k: int) -> Xdd:
 
 def shifted_soliton_sequence(K: int) -> XddSequence:
     """The Shifted Soliton XDD for every path length 1..K."""
-    if K < 1:
-        raise RangeError(f"diameter must be positive, got K={K}")
     return XddSequence(K, tuple(shifted_soliton(k) for k in range(1, K + 1)))
 
 
@@ -60,8 +58,6 @@ def ideal_soliton_sequence(K: int) -> XddSequence:
     Provided as the canonical counterexample: this sequence fails the
     per-hop realizability condition for every K >= 3.
     """
-    if K < 1:
-        raise RangeError(f"diameter must be positive, got K={K}")
     return XddSequence(K, tuple(ideal_soliton(k) for k in range(1, K + 1)))
 
 
@@ -136,8 +132,6 @@ def pint_xdd(k: int, params: PintParams) -> Xdd:
 
 def pint_sequence(K: int, params: PintParams) -> XddSequence:
     """The PINT baseline XDD for every path length 1..K."""
-    if K < 1:
-        raise RangeError(f"diameter must be positive, got K={K}")
     return XddSequence(K, tuple(pint_xdd(k, params) for k in range(1, K + 1)))
 
 

@@ -10,7 +10,8 @@ class RangeError(RecipeError, ValueError):
 
 
 class SequenceValidationError(RecipeError, ValueError):
-    """An XDD or XDD sequence violates its distribution invariants."""
+    """An XDD or XDD sequence violates its distribution invariants, or an
+    input artifact (a JSON file, a codeword stream line) is malformed."""
 
 
 class InfeasibleSequenceError(RecipeError):

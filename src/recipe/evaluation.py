@@ -29,7 +29,7 @@ from .feasibility import derive_apa
 from .protocol import _mix64, masks_from_members, xor_members
 # Unused here, but bench/tracing.py patches these names on this module.
 from .protocol import hash_uniform_array, row_select_array  # noqa: F401
-from .xdd import XddSequence, _atomic_write_text
+from .xdd import XddSequence, _atomic_write_text, malformed
 
 # Packets consumed before a trial is declared incomplete; incomplete trials
 # contribute exactly this value to the mean (pessimistic).
@@ -185,14 +185,13 @@ def mean_curve_gap(curve_a: EfficiencyCurve, curve_b: EfficiencyCurve) -> float:
     return float(np.mean(gaps))
 
 
-def tune_pint(K: int, tune_k: int = None, trials: int = 400, seed: int = 0,
-              alphas=None, ps=None):
+def tune_pint(K: int, trials: int = 400, seed: int = 0):
     """Grid-tune the PINT baseline's (alpha, p) for a network of diameter K.
 
-    The grid is alpha in {0, 0.05, .., 1} and p in {1/K, .., 10/K}; the
-    objective is the mean consumed codewords at path length `tune_k`, with
-    common random numbers across grid points.  `tune_k` defaults to K/2,
-    the deployment's estimated typical path length: the baseline protocol
+    The grid is alpha in {0, 0.05, .., 1} and p in {1/K, .., 10/K} (below
+    1); the objective is the mean consumed codewords at path length K/2,
+    with common random numbers across grid points.  K/2 is the
+    deployment's estimated typical path length: the baseline protocol
     fixes (alpha, p) network-wide, so it is tuned for typical paths and
     pays for the mismatch elsewhere.  (Tuning at k = K itself would make
     the baseline nearly optimal at exactly that one length: measured
@@ -200,19 +199,14 @@ def tune_pint(K: int, tune_k: int = None, trials: int = 400, seed: int = 0,
 
     Returns (best PintParams, list of (alpha, p, mean) grid results).
     """
-    if tune_k is None:
-        tune_k = max(1, K // 2)
-    if alphas is None:
-        alphas = [round(0.05 * j, 2) for j in range(21)]
-    if ps is None:
-        ps = [j / K for j in range(1, 11)]
+    tune_k = max(1, K // 2)
+    alphas = [round(0.05 * j, 2) for j in range(21)]
+    ps = [j / K for j in range(1, min(K, 11))]
     seeds = [derive_seed(seed, tune_k, t) for t in range(trials)]
     results = []
     best = None
     for alpha in alphas:
         for p in ps:
-            if not 0.0 < p < 1.0:
-                continue
             scheme = PintScheme(PintParams(alpha, p), seed=seed)
             used, _ = run_trials(scheme, tune_k, seeds)
             mean = float(used.mean())
@@ -265,9 +259,10 @@ def read_curves_csv(path) -> list[EfficiencyCurve]:
         raise RangeError(f"{path} is not a curve CSV")
     grouped: dict[tuple, list[CurvePoint]] = {}
     for ln in lines[1:]:
-        label, K, k, trials, mean, stderr, q99, inc = ln.split(",")
-        grouped.setdefault((label, int(K)), []).append(CurvePoint(
-            int(k), int(trials), float(mean), float(stderr), float(q99), float(inc)))
+        with malformed(f"curve row in {path}", RangeError):
+            label, K, k, trials, mean, stderr, q99, inc = ln.split(",")
+            grouped.setdefault((label, int(K)), []).append(CurvePoint(
+                int(k), int(trials), float(mean), float(stderr), float(q99), float(inc)))
     return [EfficiencyCurve(label, K, tuple(pts)) for (label, K), pts in grouped.items()]
 
 

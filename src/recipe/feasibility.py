@@ -46,6 +46,7 @@ from .xdd import (
     XddSequence,
     _atomic_write_text,
     binomial_log,
+    malformed,
     sequence_from_masses,
 )
 
@@ -212,7 +213,7 @@ def derive_apa(seq: XddSequence) -> Apa:
     return Apa(seq.K, tuple(triples))
 
 
-def exact_induced_sequence(apa: Apa, K_small: int | None = None) -> XddSequence:
+def exact_induced_sequence(apa: Apa) -> XddSequence:
     """Brute-force oracle: the XDD sequence an APA actually induces.
 
     Tracks the exact probability of every XOR-set (as a bitmask over hops)
@@ -222,9 +223,7 @@ def exact_induced_sequence(apa: Apa, K_small: int | None = None) -> XddSequence:
     is the point: round-tripping derive_apa through this function is the
     main correctness check of the whole theory.
     """
-    K = apa.K if K_small is None else K_small
-    if K > apa.K:
-        raise RangeError(f"K_small={K} exceeds APA diameter {apa.K}")
+    K = apa.K
     if K > ENUMERATION_LIMIT:
         raise RangeError(f"exact enumeration limited to K <= {ENUMERATION_LIMIT}")
 
@@ -294,18 +293,20 @@ def apa_to_json(apa: Apa) -> str:
 
 
 def apa_from_json(text: str) -> Apa:
-    doc = json.loads(text)
-    K = int(doc["K"])
-    triples = []
-    for i, hop in enumerate(doc["p"], start=1):
-        n_rows = 1 if i == 1 else i - 1
-        if len(hop) != n_rows:
-            raise SequenceValidationError(f"hop {i} has {len(hop)} rows, expected {n_rows}")
-        arr = np.full((n_rows, 3), np.nan)
-        for j, row in enumerate(hop):
-            if row is not None:
-                arr[j] = row
-        triples.append(arr)
+    with malformed("APA document"):
+        doc = json.loads(text)
+        K = int(doc["K"])
+        triples = []
+        for i, hop in enumerate(doc["p"], start=1):
+            n_rows = 1 if i == 1 else i - 1
+            if len(hop) != n_rows:
+                raise SequenceValidationError(
+                    f"hop {i} has {len(hop)} rows, expected {n_rows}")
+            arr = np.full((n_rows, 3), np.nan)
+            for j, row in enumerate(hop):
+                if row is not None:
+                    arr[j] = row
+            triples.append(arr)
     return Apa(K, tuple(triples))
 
 

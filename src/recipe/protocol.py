@@ -114,36 +114,21 @@ def row_select(gh: GlobalHash, packet_id: int, L: int) -> int:
 
 
 def row_select_array(gh: GlobalHash, packet_ids: np.ndarray, L: int) -> np.ndarray:
-    if L < 1:
-        raise RangeError(f"table must have at least one row, got L={L}")
     u = hash_uniform_array(GlobalHash(gh.seed ^ ROW_SELECT_SALT), 0, packet_ids)
     return np.minimum((u * L).astype(np.int64), L - 1)
-
-
-def degree_field_bits(K: int) -> int:
-    """Packet bits budgeted for the XOR degree: 6 covers any K <= 64."""
-    return max(6, (K).bit_length())
 
 
 @dataclass(frozen=True)
 class Packet:
     """What a switch sees: an id standing for the packet's invariant bytes,
     the hop count, the codeword in progress, and (degree-based mode only)
-    the current XOR degree."""
+    the current XOR degree, which never exceeds the hop count and so fits
+    in max(6, K.bit_length()) bits."""
 
     packet_id: int
     hop_count: int = 0
     codeword: int = 0
     degree_field: int | None = 0
-
-
-def validate_switch_id(switch_id: int, width: int = 32) -> int:
-    """Switch IDs are nonzero fixed-width words; zero marks the empty codeword."""
-    if switch_id == 0:
-        raise RangeError("switch ID 0 is reserved for the empty codeword")
-    if not 0 < switch_id < (1 << width):
-        raise RangeError(f"switch ID {switch_id} does not fit in {width} bits")
-    return switch_id
 
 
 def _choose_action(triple: tuple[float, float, float], nu: float) -> int:
@@ -181,14 +166,11 @@ def step_recipe_d(pkt: Packet, my_id: int, apa: Apa, gh: GlobalHash) -> Packet:
         triple = apa.entry(i, d)  # raises ProtocolError on an unreachable entry
     nu = hash_uniform(gh, i, pkt.packet_id)
     action = _choose_action(triple, nu)
-    new_d = d + 1 if action == ADD else (1 if action == REPLACE else d)
-    if new_d >= (1 << degree_field_bits(apa.K)):
-        raise ProtocolError(f"degree {new_d} overflows the degree field")
     return replace(
         pkt,
         hop_count=i,
         codeword=_apply_action(action, pkt.codeword, my_id),
-        degree_field=new_d,
+        degree_field=d + 1 if action == ADD else (1 if action == REPLACE else d),
     )
 
 
@@ -291,8 +273,6 @@ def generate_avst(apa: Apa, L: int, seed: int) -> Avst:
     on a full-diameter path under key `seed`; rows are therefore bit-exactly
     reproducible from (apa, L, seed).
     """
-    if L < 1:
-        raise RangeError(f"table must have at least one row, got L={L}")
     rows = recipe_d_actions(apa, GlobalHash(seed), apa.K, np.arange(L, dtype=np.uint64))
     return Avst(L, apa.K, rows, seed & _MASK64, apa.digest())
 

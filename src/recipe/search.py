@@ -431,21 +431,16 @@ def verify_slack_budget(mu_i) -> Fraction:
     return 1 - total
 
 
-def feasible_predecessor_base(mu_i: Xdd) -> np.ndarray:
-    """The zero-slack predecessor of mu_i in mu-space:
-    base(d) = mu_i(d)(i-d)/i + mu_i(d+1)(d+1)/i for d = 1..i-1."""
-    return _rhs_mu(np.asarray(mu_i.mass), mu_i.k)
-
-
 def sample_feasible_predecessors(mu_i: Xdd, n: int, rng) -> np.ndarray:
     """n mass vectors for path length i-1, uniformly slack-sampled.
 
-    Every row is base + gamma with gamma Dirichlet-uniform on the scaled
-    slack simplex of total q_i(1); every row is a valid distribution and
-    satisfies the hop-(i) feasibility constraints by construction.
+    Every row is base + gamma, with base the zero-slack predecessor and
+    gamma Dirichlet-uniform on the scaled slack simplex of total q_i(1);
+    every row is a valid distribution and satisfies the hop-(i)
+    feasibility constraints by construction.
     """
     i = mu_i.k
-    base = feasible_predecessor_base(mu_i)
+    base = _rhs_mu(np.asarray(mu_i.mass), i)
     budget = slack_budget(mu_i)
     if i - 1 == 1:
         gammas = np.full((n, 1), budget)
@@ -489,14 +484,14 @@ class _ScoringBank:
         self.trials = trials
         self.cap = max(_BANK_CAP_FACTOR * m, 12)
         self.u = rng.random((trials, self.cap))
-        orders = np.tile(np.arange(m, dtype=np.int16), (trials * self.cap, 1))
-        orders = rng.permuted(orders, axis=1).reshape(trials, self.cap, m)
         # ranks[t, c, h]: position of hop h in the order, so the degree-d
-        # XOR-set is the hops ranked below d.  Inverted one trial at a time
-        # to keep argsort's int64 temporaries small.
-        self.ranks = np.empty_like(orders)
+        # XOR-set is the hops ranked below d.  Built one trial at a time, so
+        # only one trial's orders and argsort temporaries exist at once;
+        # permuting row blocks in turn draws what one call on all rows would.
+        base = np.tile(np.arange(m, dtype=np.int16), (self.cap, 1))
+        self.ranks = np.empty((trials, self.cap, m), dtype=np.int16)
         for t in range(trials):
-            self.ranks[t] = np.argsort(orders[t], axis=1)
+            self.ranks[t] = np.argsort(rng.permuted(base, axis=1), axis=1)
 
     def score(self, mass: np.ndarray) -> float:
         cdf = np.cumsum(mass)

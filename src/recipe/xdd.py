@@ -17,11 +17,12 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RangeError, SequenceValidationError
+from .errors import RangeError, RecipeError, SequenceValidationError
 
 # Normalization tolerances: constructed distributions must sum to 1 much
 # more tightly than ones re-read from decimal text.
@@ -157,6 +158,21 @@ def sequence_from_masses(masses) -> XddSequence:
     return XddSequence(len(xdds), xdds)
 
 
+@contextmanager
+def malformed(what: str, error: type = SequenceValidationError):
+    """Guard the parsing of a text input artifact: any failure to read its
+    structure (not JSON, a missing key, a value of the wrong type or
+    shape) is raised as `error` naming `what`, so the CLI reports it with
+    its exit code instead of a traceback.  A RecipeError passes through
+    unchanged."""
+    try:
+        yield
+    except RecipeError:
+        raise
+    except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
+        raise error(f"malformed {what}: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # Sequence file format: {"K": int, "mu": [[...], ...]} where mu[i-1] is the
 # length-i mass vector for path length i.  Writers emit 17 significant
@@ -171,23 +187,21 @@ def sequence_to_json(seq: XddSequence) -> str:
 
 
 def sequence_from_json(text: str) -> XddSequence:
-    doc = json.loads(text)
-    try:
+    with malformed("sequence document"):
+        doc = json.loads(text)
         K = int(doc["K"])
         mu = doc["mu"]
-    except (KeyError, TypeError) as exc:
-        raise SequenceValidationError(f"malformed sequence document: {exc}") from exc
-    if len(mu) != K:
-        raise SequenceValidationError(f"document K={K} but {len(mu)} mass vectors")
-    xdds = []
-    for i, row in enumerate(mu, start=1):
-        issues = validate_xdd((i, row), tol=SUM_TOL_FILE)
-        if issues:
-            raise SequenceValidationError(f"mu[{i}]: " + "; ".join(issues))
-        # Renormalize text-roundtrip drift so downstream code sees the
-        # constructed-distribution tolerance again.
-        mass = np.asarray(row, dtype=float)
-        xdds.append(Xdd(i, mass / mass.sum()))
+        if len(mu) != K:
+            raise SequenceValidationError(f"document K={K} but {len(mu)} mass vectors")
+        xdds = []
+        for i, row in enumerate(mu, start=1):
+            issues = validate_xdd((i, row), tol=SUM_TOL_FILE)
+            if issues:
+                raise SequenceValidationError(f"mu[{i}]: " + "; ".join(issues))
+            # Renormalize text-roundtrip drift so downstream code sees the
+            # constructed-distribution tolerance again.
+            mass = np.asarray(row, dtype=float)
+            xdds.append(Xdd(i, mass / mass.sum()))
     return XddSequence(K, tuple(xdds))
 
 
@@ -203,16 +217,14 @@ def xdd_to_json(xdd: Xdd) -> str:
 
 
 def xdd_from_json(text: str) -> Xdd:
-    doc = json.loads(text)
-    try:
+    with malformed("single-XDD document"):
+        doc = json.loads(text)
         k = int(doc["k"])
         mu = doc["mu"]
-    except (KeyError, TypeError) as exc:
-        raise SequenceValidationError(f"malformed single-XDD document: {exc}") from exc
-    issues = validate_xdd((k, mu), tol=SUM_TOL_FILE)
-    if issues:
-        raise SequenceValidationError(f"invalid XDD (k={k}): " + "; ".join(issues))
-    mass = np.asarray(mu, dtype=float)
+        issues = validate_xdd((k, mu), tol=SUM_TOL_FILE)
+        if issues:
+            raise SequenceValidationError(f"invalid XDD (k={k}): " + "; ".join(issues))
+        mass = np.asarray(mu, dtype=float)
     total = mass.sum()
     return Xdd(k, mass if abs(total - 1.0) <= SUM_TOL else mass / total)
 

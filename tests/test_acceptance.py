@@ -23,9 +23,9 @@ from recipe.evaluation import (
     PintScheme,
     RecipeDScheme,
     RecipeTScheme,
+    compare_t_vs_d,
     degree_histogram,
     derive_seed,
-    efficiency_curve,
     mean_curve_gap,
     run_trials,
     tune_pint,
@@ -127,15 +127,10 @@ def test_criterion_05_table_convergence():
     K = 16
     trials = 10**5
     seed = 5001
-    seq = shifted_soliton_sequence(K)
-    apa = derive_apa(seq)
-    d_scheme = RecipeDScheme(apa=apa, seed=seed)
-    d_curve = efficiency_curve(d_scheme, K, trials, seed, threads=THREADS)
-    curves = {}
-    for L in (1000, 30000):
-        avst = generate_avst(apa, L, derive_seed(seed, 1_000_000 + L))
-        t_scheme = RecipeTScheme(avst, seed=seed)
-        curves[L] = efficiency_curve(t_scheme, K, trials, seed, threads=THREADS)
+    by_label = compare_t_vs_d(shifted_soliton_sequence(K), K, [1000, 30000], trials, seed,
+                              threads=THREADS)
+    d_curve = by_label["recipe-d"]
+    curves = {L: by_label[f"recipe-t:L={L}"] for L in (1000, 30000)}
     worst_rel = 0.0
     for p in curves[30000].points:
         rel = abs(p.mean - d_curve.point(p.k).mean) / d_curve.point(p.k).mean

@@ -4,7 +4,7 @@ import pytest
 
 from recipe.cli import main
 from recipe.decoder import replay_xor_mask
-from recipe.evaluation import RecipeDScheme
+from recipe.evaluation import CSV_HEADER, RecipeDScheme
 from recipe.feasibility import derive_apa, read_apa
 from recipe.protocol import read_avst
 from recipe.xdd import read_sequence
@@ -274,6 +274,57 @@ def test_usage_errors_exit_1(capsys):
     assert main(["frobnicate"]) == 1
     assert main(["check"]) == 1
     assert main(["evaluate", "--K", "3", "--bogus-flag"]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["dist", "shifted-soliton", "--K", "3"],
+    ["check", "seq.json"],
+    ["derive-apa", "seq.json", "-o", "apa.json"],
+    ["compare", "a.csv"],
+], ids=lambda argv: argv[0])
+def test_seed_is_a_usage_error_where_nothing_is_drawn(argv, capsys):
+    code, out, err = run_cli(capsys, *argv, "--seed", "3")
+    assert code == 1
+    assert out == "" and "unrecognized arguments: --seed 3" in err
+
+
+_NOT_JSON = "not json\n"
+_HRS = ["search", "hrs", "--K", "2", "--candidates", "2", "--trials", "4"]
+_PINT = ["--pint-alpha", "0.5", "--pint-p", "0.2"]
+
+
+# (file contents, argv with {f} for that file and {out} for an output, exit code)
+@pytest.mark.parametrize("text, argv, want", [
+    pytest.param(_NOT_JSON, ["check", "{f}"], 2, id="check-not-json"),
+    pytest.param('{"K": 1, "mu": 5}', ["check", "{f}"], 2, id="check-mu-not-a-list"),
+    pytest.param(_NOT_JSON, ["dist", "invariant", "--from", "{f}"], 2,
+                 id="dist-invariant-not-json"),
+    pytest.param('{"k": 1, "mu": 5}', ["dist", "invariant", "--from", "{f}"], 2,
+                 id="dist-invariant-mu-not-a-list"),
+    pytest.param(_NOT_JSON, [*_HRS, "--start", "{f}", "-o", "{out}"], 2,
+                 id="search-hrs-start-not-json"),
+    pytest.param(_NOT_JSON, ["derive-apa", "{f}", "-o", "{out}"], 2, id="derive-apa-not-json"),
+    pytest.param(_NOT_JSON, ["evaluate", "--apa", "{f}", "--K", "2", "--trials", "2"], 2,
+                 id="evaluate-apa-not-json"),
+    pytest.param(_NOT_JSON, ["gen-avst", "--apa", "{f}", "-o", "{out}"], 2,
+                 id="gen-avst-not-json"),
+    pytest.param('{"p": [[[0, 0, 1]]]}', ["gen-avst", "--apa", "{f}", "-o", "{out}"], 2,
+                 id="gen-avst-apa-without-K"),
+    pytest.param('{"K": 1}', ["gen-avst", "--apa", "{f}", "-o", "{out}"], 2,
+                 id="gen-avst-apa-without-p"),
+    pytest.param(CSV_HEADER + "\nss,3,1,10\n", ["compare", "{f}"], 3,
+                 id="compare-row-of-4-fields"),
+    pytest.param('{"packet_id": 1}\n', ["decode", *_PINT, "--k", "2", "--in", "{f}"], 2,
+                 id="decode-line-without-codeword"),
+])
+def test_malformed_artifact_is_one_error_line(tmp_path, capsys, text, argv, want):
+    path = tmp_path / "artifact"
+    path.write_text(text)
+    argv = [a.format(f=path, out=tmp_path / "out") for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == want
+    assert out == "" and "Traceback" not in err
+    assert len(err.splitlines()) == 1 and "malformed" in err
 
 
 def test_validation_error_exit_2(tmp_path, capsys):

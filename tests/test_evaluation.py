@@ -152,9 +152,11 @@ def test_compare_t_vs_d_and_gap():
 
 
 def test_tune_pint_small_grid():
-    params, results = tune_pint(6, tune_k=3, trials=60, seed=6,
-                                alphas=[0.0, 0.5, 1.0], ps=[1 / 6, 2 / 6])
-    assert len(results) == 6
+    # The fixed grid at K=6: 21 alphas x p = j/6 for j = 1..5, tuned at k=3.
+    params, results = tune_pint(6, trials=60, seed=6)
+    assert len(results) == 105
+    assert {r[:2] for r in results} == {(round(0.05 * i, 2), j / 6)
+                                        for i in range(21) for j in range(1, 6)}
     assert min(r[2] for r in results) == [r for r in results if (r[0], r[1]) == (params.alpha, params.p)][0][2]
 
 

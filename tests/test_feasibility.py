@@ -16,6 +16,7 @@ from recipe.errors import (
     RangeError,
 )
 from recipe.feasibility import (
+    Apa,
     FeasibilityReport,
     apa_from_json,
     apa_to_json,
@@ -217,7 +218,7 @@ def test_exact_induced_enumeration_bound():
     with pytest.raises(RangeError):
         exact_induced_sequence(apa)
     # prefix enumeration under the bound is fine
-    induced = exact_induced_sequence(apa, K_small=5)
+    induced = exact_induced_sequence(Apa(5, apa.triples[:5]))
     assert induced.K == 5
 
 

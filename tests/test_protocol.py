@@ -12,7 +12,6 @@ from recipe.protocol import (
     GlobalHash,
     Packet,
     _choose_action,
-    degree_field_bits,
     generate_avst,
     hash_uniform,
     hash_uniform_array,
@@ -21,7 +20,6 @@ from recipe.protocol import (
     row_select_array,
     step_recipe_d,
     step_recipe_t,
-    validate_switch_id,
     write_avst,
 )
 
@@ -281,17 +279,3 @@ def test_read_avst_rejects_garbage(tmp_path):
     path.write_bytes(b"not a table")
     with pytest.raises(ConfigurationError):
         read_avst(path)
-
-
-def test_degree_field_bits():
-    assert degree_field_bits(3) == 6
-    assert degree_field_bits(64) == 7
-    assert degree_field_bits(236) == 8
-
-
-def test_validate_switch_id():
-    assert validate_switch_id(1) == 1
-    with pytest.raises(RangeError):
-        validate_switch_id(0)
-    with pytest.raises(RangeError):
-        validate_switch_id(2**32)
