@@ -220,17 +220,18 @@ def _cmd_simulate(args) -> int:
 def _cmd_decode(args) -> int:
     scheme = _scheme_from_args(args, args.k)
 
-    def stream():
-        with open(args.input, "r", encoding="utf-8") as fh:
+    def lines():
+        # The guard covers reading and parsing; the replay of each line's
+        # codeword runs in the consumer, outside it.
+        with open(args.input, "r", encoding="utf-8") as fh, malformed("codeword line"):
             for line in fh:
-                if not line.strip():
-                    continue
-                with malformed("codeword line"):
+                if line.strip():
                     doc = json.loads(line)
-                    pid, value = int(doc["packet_id"]), int(doc["codeword"])
-                yield ReceivedCodeword(pid, args.k, value, replay_xor_mask(pid, args.k, scheme))
+                    yield int(doc["packet_id"]), int(doc["codeword"])
 
-    result = decode_stream(stream(), args.k)
+    stream = (ReceivedCodeword(pid, args.k, value, replay_xor_mask(pid, args.k, scheme))
+              for pid, value in lines())
+    result = decode_stream(stream, args.k)
     out = {
         "k": args.k,
         "used": result.used,
@@ -308,11 +309,12 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, threads=False):
+    def add_common(p, threads_help=None):
         p.add_argument("--seed", type=int, default=_default_seed(),
                        help="master seed (default: $RECIPE_SEED or 0)")
-        if threads:
-            p.add_argument("--threads", type=int, default=default_threads())
+        if threads_help:
+            p.add_argument("--threads", type=int, default=default_threads(),
+                           help=threads_help + " (default: CPU count)")
 
     p = sub.add_parser("dist", help="emit a named distribution or sequence")
     p.add_argument("kind", choices=["shifted-soliton", "ideal-soliton", "pint",
@@ -376,7 +378,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--start", help="single-XDD JSON to seed hrs")
     p.add_argument("--trace", help="objective trace CSV side file")
     p.add_argument("-o", "--output", required=True)
-    add_common(p, threads=True)
+    add_common(p, threads_help="worker processes for qps restarts; hrs runs in one "
+                               "process and ignores it")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("evaluate", help="efficiency curve for one scheme")
@@ -386,7 +389,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--ks", help="comma-separated path lengths (default 1..K)")
     p.add_argument("--label")
     p.add_argument("-o", "--output")
-    add_common(p, threads=True)
+    add_common(p, threads_help="worker processes, each running one path length")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("compare", help="join curve CSVs on k for plotting")

@@ -29,7 +29,7 @@ from .feasibility import derive_apa
 from .protocol import _mix64, masks_from_members, xor_members
 # Unused here, but bench/tracing.py patches these names on this module.
 from .protocol import hash_uniform_array, row_select_array  # noqa: F401
-from .xdd import XddSequence, _atomic_write_text, malformed
+from .xdd import XddSequence, _atomic_write_text, malformed, read_text
 
 # Packets consumed before a trial is declared incomplete; incomplete trials
 # contribute exactly this value to the mean (pessimistic).
@@ -202,6 +202,8 @@ def tune_pint(K: int, trials: int = 400, seed: int = 0):
     tune_k = max(1, K // 2)
     alphas = [round(0.05 * j, 2) for j in range(21)]
     ps = [j / K for j in range(1, min(K, 11))]
+    if not ps:
+        raise RangeError(f"the PINT p grid j/K < 1 (j = 1..10) is empty at K={K}")
     seeds = [derive_seed(seed, tune_k, t) for t in range(trials)]
     results = []
     best = None
@@ -253,8 +255,8 @@ def write_curves_csv(path, curves) -> None:
 
 
 def read_curves_csv(path) -> list[EfficiencyCurve]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    text = read_text(path, f"curve CSV {path}", RangeError)
+    lines = [ln.strip() for ln in text.split("\n") if ln.strip()]
     if not lines or lines[0] != CSV_HEADER:
         raise RangeError(f"{path} is not a curve CSV")
     grouped: dict[tuple, list[CurvePoint]] = {}

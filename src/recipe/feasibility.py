@@ -47,6 +47,7 @@ from .xdd import (
     _atomic_write_text,
     binomial_log,
     malformed,
+    read_text,
     sequence_from_masses,
 )
 
@@ -315,5 +316,4 @@ def write_apa(apa: Apa, path) -> None:
 
 
 def read_apa(path) -> Apa:
-    with open(path, "r", encoding="utf-8") as fh:
-        return apa_from_json(fh.read())
+    return apa_from_json(read_text(path, "APA document"))

@@ -45,6 +45,10 @@ ACTION_NAMES = {SKIP: "skip", ADD: "add", REPLACE: "replace"}
 # mixture), hops >= 1 carry per-switch decisions.
 PINT_BRANCH_HOP = 0
 
+# Packet x hop cells that pint_actions hashes per call: enough to amortize
+# numpy's per-call cost, few enough that a slab's temporaries stay in cache.
+_SLAB_CELLS = 1 << 16
+
 AVST_MAGIC = b"AVST"
 AVST_VERSION = 1
 
@@ -83,10 +87,13 @@ def hash_uniform(gh: GlobalHash, hop: int, packet_id: int) -> float:
 def hash_uniform_array(gh: GlobalHash, hop, packet_ids) -> np.ndarray:
     """Vectorized hash_uniform, broadcast over hop and packet ids.
 
-    Either an int hop against a uint64 array of packet ids (one hop of
-    many packets) or a uint64 array of hops against one packet id, given
-    as an int in [0, 2^64) (every hop of one packet).  The operands are
-    arrays, whose integer arithmetic wraps mod 2^64 without a warning.
+    Three forms: an int hop against a uint64 array of packet ids (one hop
+    of many packets); a uint64 array of hops against one packet id, given
+    as an int in [0, 2^64) (every hop of one packet); or a uint64 array of
+    k hops against a uint64 block of ids of shape (n, k), such as a column
+    of n ids broadcast across k hops (every hop of many packets).  The
+    operands are arrays, whose integer arithmetic wraps mod 2^64 without a
+    warning.
     """
     if isinstance(hop, np.ndarray):
         key = np.uint64(gh.seed) ^ (hop * _U64_GOLDEN)
@@ -203,13 +210,22 @@ def pint_actions(alpha: float, p: float, gh: GlobalHash, k: int,
     """The PINT baseline's actions, uint8[n, k]: with probability alpha
     (drawn at PINT_BRANCH_HOP) a packet takes the reservoir branch, where
     hop i replaces with probability 1/i; otherwise hop i adds with
-    probability p."""
+    probability p.
+
+    Hops 1..k of a slab of packets hash in one call, about _SLAB_CELLS
+    cells at a time, and each slab's actions are one compare against its
+    rows' thresholds times its rows' action codes."""
     reservoir = hash_uniform_array(gh, PINT_BRANCH_HOP, pids) < alpha
+    hops = np.arange(1, k + 1, dtype=np.uint64)
+    inverse = 1.0 / hops
+    codes = np.where(reservoir, REPLACE, ADD).astype(np.uint8)
     actions = np.empty((pids.size, k), dtype=np.uint8)
-    for i in range(1, k + 1):
-        u = hash_uniform_array(gh, i, pids)
-        actions[:, i - 1] = np.where(reservoir, np.where(u < 1.0 / i, REPLACE, SKIP),
-                                     np.where(u < p, ADD, SKIP))
+    rows = max(1, _SLAB_CELLS // max(k, 1))
+    for lo in range(0, pids.size, rows):
+        hi = min(lo + rows, pids.size)
+        u = hash_uniform_array(gh, hops, np.broadcast_to(pids[lo:hi, None], (hi - lo, k)))
+        hit = u < np.where(reservoir[lo:hi, None], inverse, p)
+        np.multiply(hit, codes[lo:hi, None], out=actions[lo:hi])
     return actions
 
 
@@ -233,7 +249,10 @@ def masks_from_members(members: np.ndarray) -> list[int]:
     than building each int from its bytes.
     """
     octets = np.packbits(members, axis=1, bitorder="little")
-    words = np.pad(octets, ((0, 0), (0, -octets.shape[1] % 8))).view("<u8")
+    n, width = octets.shape
+    padded = np.zeros((n, width + -width % 8), dtype=np.uint8)
+    padded[:, :width] = octets
+    words = padded.view("<u8")
     masks = words[:, -1].tolist()
     for j in range(words.shape[1] - 2, -1, -1):
         masks = [(m << 64) | w for m, w in zip(masks, words[:, j].tolist())]

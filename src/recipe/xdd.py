@@ -173,6 +173,13 @@ def malformed(what: str, error: type = SequenceValidationError):
         raise error(f"malformed {what}: {exc}") from exc
 
 
+def read_text(path, what: str, error: type = SequenceValidationError) -> str:
+    """The text of the input artifact at `path`; bytes that are not UTF-8
+    make it a malformed `what` (see `malformed`)."""
+    with open(path, "r", encoding="utf-8") as fh, malformed(what, error):
+        return fh.read()
+
+
 # ---------------------------------------------------------------------------
 # Sequence file format: {"K": int, "mu": [[...], ...]} where mu[i-1] is the
 # length-i mass vector for path length i.  Writers emit 17 significant
@@ -230,8 +237,7 @@ def xdd_from_json(text: str) -> Xdd:
 
 
 def read_xdd(path) -> Xdd:
-    with open(path, "r", encoding="utf-8") as fh:
-        return xdd_from_json(fh.read())
+    return xdd_from_json(read_text(path, "single-XDD document"))
 
 
 def write_sequence(seq: XddSequence, path) -> None:
@@ -239,8 +245,7 @@ def write_sequence(seq: XddSequence, path) -> None:
 
 
 def read_sequence(path) -> XddSequence:
-    with open(path, "r", encoding="utf-8") as fh:
-        return sequence_from_json(fh.read())
+    return sequence_from_json(read_text(path, "sequence document"))
 
 
 def _atomic_write_text(path, text: str) -> None:

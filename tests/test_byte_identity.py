@@ -4,8 +4,8 @@ The encoders may be restructured freely, but for a fixed seed these bytes
 must not move: curve CSVs (degree-based at the paper's K=59, table-based
 and PINT across the 64-hop word boundary), an action table file, the
 XOR-set masks of every scheme at k = 64 and 65 (as generated and as
-replayed at the destination), a backward (HRS) search's sequence and
-per-hop scores, quadratic (QPS) searches' sequences and descent traces, the
+replayed at the destination), PINT trials at K=118, a backward (HRS)
+search's sequence and per-hop scores, quadratic (QPS) searches' sequences and descent traces, the
 mean-field objective's per-rank terms, its gradient, the invariant-polytope
 projection, random feasible sequences, and the single-XDD files of the CLI
 (a Robust Soliton XDD, its invariant expansion and an HRS search started
@@ -22,7 +22,7 @@ import pytest
 from recipe.cli import main
 from recipe.decoder import replay_xor_mask
 from recipe.distributions import PintParams, robust_soliton, shifted_soliton
-from recipe.evaluation import PintScheme, RecipeDScheme, RecipeTScheme
+from recipe.evaluation import PintScheme, RecipeDScheme, RecipeTScheme, derive_seed, run_trials
 from recipe.feasibility import read_apa
 from recipe.protocol import read_avst
 from recipe.search import (SearchConfig, _objective_and_grad, hrs_search, mean_field_objective,
@@ -39,6 +39,7 @@ MASKS_SHA = {
     64: "fd03e80c1663280c4d3b622b9992aaad9a6a8810c1886cae15177f77c1cbb9c0",
     65: "58f325c63283dd80297a2a8708b04bd8e18331553f1e809fc76b501efad1f55f",
 }
+PINT_TRIALS_SHA = "87718e2ddfb013b1bc3abbdb78619baa87e3cdee32fcfb2415c6ff57d6020f5d"
 HRS_SHA = "5e4b06279467965a101a571703c71ab2783e130481f3f3fe1e4ae77103661583"
 QPS_SHA = {
     59: "67e37df618a23dbcff19d0de357ec5592c3c4adc96e1f518632e542ec4b088c8",
@@ -105,6 +106,14 @@ def test_generate_masks_ints_pinned(artifacts, k):
     assert _sha(text.encode()) == MASKS_SHA[k]
     for scheme, scheme_masks in zip(schemes, masks):
         assert [replay_xor_mask(pid, k, scheme) for pid in pids.tolist()] == scheme_masks
+
+
+def test_pint_run_trials_pinned():
+    # K=118 with 200 trials: each kernel call covers 75 trials x 236
+    # packets x 118 hops, many of the PINT encoder's hashing slabs.
+    scheme = PintScheme(PintParams(0.3, 2 / 118), seed=9, K=118)
+    used, completed = run_trials(scheme, 118, [derive_seed(9, 118, t) for t in range(200)])
+    assert _sha(used.tobytes() + completed.tobytes()) == PINT_TRIALS_SHA
 
 
 def test_hrs_search_sequence_and_scores_pinned():

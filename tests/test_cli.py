@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -289,6 +290,8 @@ def test_seed_is_a_usage_error_where_nothing_is_drawn(argv, capsys):
 
 
 _NOT_JSON = "not json\n"
+# 64 random bytes; 0xff never occurs in UTF-8.
+_NOT_UTF8 = b"\xff" + random.Random(64).randbytes(63)
 _HRS = ["search", "hrs", "--K", "2", "--candidates", "2", "--trials", "4"]
 _PINT = ["--pint-alpha", "0.5", "--pint-p", "0.2"]
 
@@ -316,10 +319,18 @@ _PINT = ["--pint-alpha", "0.5", "--pint-p", "0.2"]
                  id="compare-row-of-4-fields"),
     pytest.param('{"packet_id": 1}\n', ["decode", *_PINT, "--k", "2", "--in", "{f}"], 2,
                  id="decode-line-without-codeword"),
+    pytest.param(_NOT_UTF8, ["check", "{f}"], 2, id="check-not-utf8"),
+    pytest.param(_NOT_UTF8, ["dist", "invariant", "--from", "{f}"], 2,
+                 id="dist-invariant-not-utf8"),
+    pytest.param(_NOT_UTF8, ["gen-avst", "--apa", "{f}", "-o", "{out}"], 2,
+                 id="gen-avst-not-utf8"),
+    pytest.param(_NOT_UTF8, ["compare", "{f}"], 3, id="compare-not-utf8"),
+    pytest.param(_NOT_UTF8, ["decode", *_PINT, "--k", "2", "--in", "{f}"], 2,
+                 id="decode-not-utf8"),
 ])
 def test_malformed_artifact_is_one_error_line(tmp_path, capsys, text, argv, want):
     path = tmp_path / "artifact"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     argv = [a.format(f=path, out=tmp_path / "out") for a in argv]
     code, out, err = run_cli(capsys, *argv)
     assert code == want

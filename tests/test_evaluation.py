@@ -160,6 +160,12 @@ def test_tune_pint_small_grid():
     assert min(r[2] for r in results) == [r for r in results if (r[0], r[1]) == (params.alpha, params.p)][0][2]
 
 
+@pytest.mark.parametrize("K", [1, 0])
+def test_tune_pint_empty_grid_is_a_range_error(K):
+    with pytest.raises(RangeError, match="grid .* is empty"):
+        tune_pint(K, trials=2)
+
+
 def test_csv_round_trip(tmp_path):
     scheme = _ss_scheme(3)
     curve = efficiency_curve(scheme, 3, trials=50, seed=7)

@@ -1,3 +1,5 @@
+from functools import cache
+
 import numpy as np
 import pytest
 
@@ -11,10 +13,12 @@ from recipe.protocol import (
     Avst,
     GlobalHash,
     Packet,
+    _SLAB_CELLS,
     _choose_action,
     generate_avst,
     hash_uniform,
     hash_uniform_array,
+    pint_actions,
     read_avst,
     row_select,
     row_select_array,
@@ -45,6 +49,40 @@ def test_hash_uniform_scalar_matches_vectorized():
     for pid in (0, 2**64 - 1, int(ids[0])):
         vec = hash_uniform_array(gh, hops, pid)
         assert vec.tolist() == [hash_uniform(gh, int(h), pid) for h in hops]
+    # Every hop of a block of packets: a column of ids against a row of hops.
+    block = hash_uniform_array(gh, hops[:4], np.broadcast_to(ids[:3, None], (3, 4)))
+    assert block.tolist() == [[hash_uniform(gh, int(h), int(i)) for h in hops[:4]]
+                              for i in ids[:3]]
+
+
+_PINT_GH = GlobalHash(0x5EED)
+
+
+@cache
+def _pint_cells(k: int, n: int):
+    """Packet ids and their per-cell scalar draws: the branch draw u0[n]
+    and hop i's draw u[n, i-1]."""
+    pids = np.random.default_rng(k).integers(0, 2**64, size=n, dtype=np.uint64)
+    u0 = np.array([hash_uniform(_PINT_GH, 0, pid) for pid in pids.tolist()])
+    u = np.array([[hash_uniform(_PINT_GH, i, pid) for i in range(1, k + 1)]
+                  for pid in pids.tolist()])
+    return pids, u0, u.reshape(n, k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 64, 65, 118, 236])
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("p", [2 / 118, 1 / 3, 0.5], ids=["2/118", "1/3", "1/2"])
+@pytest.mark.parametrize("packets", ["three-slabs", "one"])
+def test_pint_actions_match_per_cell_reference(k, alpha, p, packets):
+    # Two full slabs of packets and a ragged third one, or a single packet.
+    n = 2 * (_SLAB_CELLS // k) + 7 if packets == "three-slabs" else 1
+    pids, u0, u = _pint_cells(k, n)
+    hop = np.arange(1, k + 1)
+    want = np.where((u0 < alpha)[:, None], np.where(u < 1.0 / hop, REPLACE, SKIP),
+                    np.where(u < p, ADD, SKIP))
+    got = pint_actions(alpha, p, _PINT_GH, k, pids)
+    assert got.dtype == np.uint8 and got.shape == (n, k)
+    assert np.array_equal(got, want)
 
 
 def test_hash_uniform_mean():
