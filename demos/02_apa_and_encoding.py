@@ -71,7 +71,7 @@ avst = generate_avst(apa, L=30000, seed=7)
 print(f"table: {avst.L} rows x {avst.K} hops, "
       f"{(avst.L * avst.K * 2 + 7) // 8} bytes packed")
 print("first rows:", [[ACTION_NAMES[a] for a in row] for row in avst.rows[:3]])
-pkt = Packet(packet_id=0xFEEDFACE, degree_field=None)
+pkt = Packet(packet_id=0xFEEDFACE)
 for i, sid in enumerate(switch_ids, start=1):
     pkt = step_recipe_t(pkt, sid, avst, gh)
 print(f"table-based delivery for the same packet: codeword=0x{pkt.codeword:02x}")

@@ -15,7 +15,6 @@ Two searchers over the feasible region:
 import numpy as np
 
 from recipe import (
-    SearchConfig,
     check_feasible,
     hrs_search,
     mean_field_objective,
@@ -40,7 +39,7 @@ print("=" * 72)
 print("QPS: projected gradient descent over invariant sequences")
 print("=" * 72)
 trace = []
-seq = qps_search(K, SearchConfig(restarts=4, seed=3), trace=trace)
+seq = qps_search(K, restarts=4, seed=3, trace=trace)
 mu = seq.xdd(K)
 f_qps, _ = mean_field_objective(mu)
 print(f"objective: {f_ss:.2f} (seed) -> {f_qps:.2f} (found)")
@@ -56,8 +55,7 @@ print()
 print("=" * 72)
 print("HRS: backward greedy search from a Robust Soliton tail")
 print("=" * 72)
-cfg = SearchConfig(candidates_per_hop=24, trials_per_candidate=128, seed=5)
-hseq = hrs_search(12, cfg)
+hseq = hrs_search(12, candidates_per_hop=24, trials_per_candidate=128, seed=5)
 print("final-hop XDD (Robust Soliton, spike kept):",
       np.asarray(hseq.xdd(12).mass))
 print("searched mu_6:", np.asarray(hseq.xdd(6).mass))

@@ -10,7 +10,6 @@ import numpy as np
 from recipe import (
     RecipeDScheme,
     RecipeTScheme,
-    SearchConfig,
     derive_apa,
     generate_avst,
     qps_search,
@@ -33,7 +32,7 @@ avst = generate_avst(apa, L=30000, seed=SEED)
 schemes = [
     PintScheme(params, seed=SEED, K=K, label="pint-tuned"),
     RecipeDScheme(apa, seed=SEED, label="shifted-soliton"),
-    RecipeDScheme(derive_apa(qps_search(K, SearchConfig(restarts=4, seed=SEED))),
+    RecipeDScheme(derive_apa(qps_search(K, restarts=4, seed=SEED)),
                   seed=SEED, label="qps"),
     RecipeTScheme(avst, seed=SEED, label="shifted-soliton-t30000"),
 ]

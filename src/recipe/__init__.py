@@ -63,7 +63,6 @@ from .decoder import (  # noqa: F401
 )
 from .search import (  # noqa: F401
     MeanFieldTerms,
-    SearchConfig,
     hrs_search,
     mean_field_objective,
     qps_search,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -62,7 +63,7 @@ from .protocol import (
     row_select,
     write_avst,
 )
-from .search import SearchConfig, hrs_search, qps_search
+from .search import hrs_search, qps_search
 from .xdd import (
     _atomic_write_text,
     malformed,
@@ -108,24 +109,21 @@ def _write_manifest(out_path: str, args, inputs: list[str]) -> None:
 
 
 def _scheme_from_args(args, K: int):
-    """Build the scheme named by --apa/--seq/--avst/--pint-* flags."""
-    chosen = {"recipe-d": bool(getattr(args, "apa", None) or getattr(args, "seq", None)),
-              "recipe-t": bool(getattr(args, "avst", None)),
-              "pint": getattr(args, "pint_alpha", None) is not None}
-    if sum(chosen.values()) != 1:
-        raise RangeError("exactly one of --seq/--apa, --avst, or --pint-alpha/--pint-p required")
-    kind = next(name for name, given in chosen.items() if given)
+    """Build the scheme named by --seq, --apa, --avst or the --pint-* pair."""
+    pint = args.pint_alpha is not None
+    if (sum(map(bool, (args.seq, args.apa, args.avst, pint))) != 1
+            or pint != (args.pint_p is not None)):
+        raise RangeError("exactly one of --seq, --apa, --avst, or --pint-alpha with "
+                         "--pint-p required")
+    kind = "recipe-t" if args.avst else "pint" if pint else "recipe-d"
     mode = getattr(args, "mode", None)
     if mode and mode != kind:
         raise ConfigurationError(f"--mode {mode} does not match the {kind} artifacts given")
     if kind == "recipe-t":
         return RecipeTScheme(read_avst(args.avst), seed=args.seed)
     if kind == "pint":
-        if getattr(args, "pint_p", None) is None:
-            raise RangeError("--pint-alpha needs --pint-p")
-        params = PintParams(args.pint_alpha, args.pint_p)
-        return PintScheme(params, seed=args.seed, K=K)
-    apa = read_apa(args.apa) if getattr(args, "apa", None) else derive_apa(read_sequence(args.seq))
+        return PintScheme(PintParams(args.pint_alpha, args.pint_p), seed=args.seed, K=K)
+    apa = read_apa(args.apa) if args.apa else derive_apa(read_sequence(args.seq))
     return RecipeDScheme(apa=apa, seed=args.seed)
 
 
@@ -242,25 +240,25 @@ def _cmd_decode(args) -> int:
     return EXIT_OK if result.complete else EXIT_RUNTIME
 
 
-def _cmd_search(args) -> int:
-    config = SearchConfig(
-        candidates_per_hop=args.candidates,
-        trials_per_candidate=args.trials,
-        restarts=args.restarts,
-        seed=args.seed,
-        second_order=args.second_order,
-    )
+def _cmd_search_hrs(args) -> int:
+    mu_K = read_xdd(args.start) if args.start else None
     trace: list = []
-    if args.algorithm == "qps":
-        seq = qps_search(args.K, config, trace=trace, threads=args.threads)
-        trace_rows = ["start,iteration,objective"] + [
-            f"{a},{b},{c:.17g}" for a, b, c in trace]
-    else:
-        mu_K = read_xdd(args.start) if args.start else None
-        seq = hrs_search(args.K, config, mu_K=mu_K, trace=trace)
-        trace_rows = ["path_length,best_score"] + [f"{a},{b:.17g}" for a, b in trace]
+    seq = hrs_search(args.K, args.candidates, args.trials, args.seed, mu_K=mu_K, trace=trace)
+    rows = ["path_length,best_score"] + [f"{a},{b:.17g}" for a, b in trace]
+    return _write_search(args, seq, rows, [args.start] if args.start else [])
+
+
+def _cmd_search_qps(args) -> int:
+    trace: list = []
+    seq = qps_search(args.K, args.restarts, args.seed, args.second_order,
+                     trace=trace, threads=args.threads)
+    rows = ["start,iteration,objective"] + [f"{a},{b},{c:.17g}" for a, b, c in trace]
+    return _write_search(args, seq, rows, [])
+
+
+def _write_search(args, seq, trace_rows: list[str], inputs: list[str]) -> int:
     write_sequence(seq, args.output)
-    _write_manifest(args.output, args, [args.start] if args.start else [])
+    _write_manifest(args.output, args, inputs)
     if args.trace:
         _atomic_write_text(args.trace, "\n".join(trace_rows) + "\n")
     print(f"wrote {args.algorithm} sequence for K={seq.K} to {args.output}")
@@ -304,14 +302,17 @@ def _cmd_compare(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process: building it costs a few ms, as
+    much as a small command's own work.  Parsing leaves it unchanged, so
+    nothing read at run time, such as $RECIPE_SEED, may be baked into it."""
     parser = _Parser(prog="recipe", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, threads_help=None):
-        p.add_argument("--seed", type=int, default=_default_seed(),
-                       help="master seed (default: $RECIPE_SEED or 0)")
+        p.add_argument("--seed", type=int, help="master seed (default: $RECIPE_SEED or 0)")
         if threads_help:
             p.add_argument("--threads", type=int, default=default_threads(),
                            help=threads_help + " (default: CPU count)")
@@ -369,18 +370,24 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_decode)
 
     p = sub.add_parser("search", help="search for a high-efficiency code")
-    p.add_argument("algorithm", choices=["hrs", "qps"])
-    p.add_argument("--K", type=int, required=True)
-    p.add_argument("--candidates", type=int, default=1000)
-    p.add_argument("--trials", type=int, default=2000)
-    p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--second-order", action="store_true")
-    p.add_argument("--start", help="single-XDD JSON to seed hrs")
-    p.add_argument("--trace", help="objective trace CSV side file")
-    p.add_argument("-o", "--output", required=True)
-    add_common(p, threads_help="worker processes for qps restarts; hrs runs in one "
-                               "process and ignores it")
-    p.set_defaults(func=_cmd_search)
+    algorithms = p.add_subparsers(dest="algorithm", required=True)
+    hrs = algorithms.add_parser("hrs", help="backward greedy search, scored by simulation")
+    hrs.add_argument("--candidates", type=int, default=1000, help="candidates scored per hop")
+    hrs.add_argument("--trials", type=int, default=2000, help="simulated trials per candidate")
+    hrs.add_argument("--start", help="single-XDD JSON of the final hop (default: Robust Soliton)")
+    hrs.set_defaults(func=_cmd_search_hrs)
+    qps = algorithms.add_parser("qps", help="multi-start descent on the mean-field objective")
+    qps.add_argument("--restarts", type=int, default=8,
+                     help="random starts besides the fixed four")
+    qps.add_argument("--second-order", action="store_true",
+                     help="correct the objective for release collisions")
+    qps.set_defaults(func=_cmd_search_qps)
+    for p, threads_help in ((hrs, "ignored: hrs runs in one process"),
+                            (qps, "worker processes for the starts")):
+        p.add_argument("--K", type=int, required=True)
+        p.add_argument("--trace", help="objective trace CSV side file")
+        p.add_argument("-o", "--output", required=True)
+        add_common(p, threads_help=threads_help)
 
     p = sub.add_parser("evaluate", help="efficiency curve for one scheme")
     add_scheme_flags(p)
@@ -407,6 +414,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_OK
     args.argv = sys.argv[1:] if argv is None else list(argv)
+    if "seed" in vars(args) and args.seed is None:
+        args.seed = _default_seed()
     try:
         return args.func(args)
     except (InfeasibleSequenceError, SequenceValidationError) as exc:

@@ -73,9 +73,10 @@ def run_trials(scheme, k: int, seeds) -> tuple[np.ndarray, np.ndarray]:
     """
     B = len(seeds)
     cap = CAP_FACTOR * k
+    # PeelingState checks k, so it comes before the draws that need k >= 0.
+    states = [PeelingState(k) for _ in range(B)]
     rngs = [np.random.default_rng(s) for s in seeds]
     switch_ids = [_draw_switch_ids(rng, k) for rng in rngs]
-    states = [PeelingState(k) for _ in range(B)]
     used = np.zeros(B, dtype=np.int64)
     completed = np.zeros(B, dtype=bool)
     block = min(cap, max(2 * k, 8))

@@ -42,6 +42,7 @@ from .errors import (
     UniformityError,
 )
 from .xdd import (
+    SUM_TOL_FILE,
     Xdd,
     XddSequence,
     _atomic_write_text,
@@ -134,7 +135,9 @@ class Apa:
     triples[0] is the fixed hop-1 row [(0, 0, 1)] (incoming degree 0);
     triples[i-1] holds rows for incoming degrees 1..i-1 at hop i.  Rows of
     NaN mark unreachable states (mu_{i-1}(d) = 0): no packet can arrive
-    there, and encoders assert they never consult one.
+    there, and encoders assert they never consult one.  Every other row is
+    a probability vector (finite, nonnegative, summing to 1 within
+    SUM_TOL_FILE); anything else is a SequenceValidationError.
     """
 
     K: int
@@ -147,9 +150,23 @@ class Apa:
             arr.flags.writeable = False
             frozen.append(arr)
         object.__setattr__(self, "triples", tuple(frozen))
-        if len(self.triples) != self.K:
+        shapes = [arr.shape for arr in self.triples]
+        if self.K < 1 or shapes != [(max(i - 1, 1), 3) for i in range(1, self.K + 1)]:
             raise SequenceValidationError(
-                f"APA has {len(self.triples)} hop rows, expected K={self.K}")
+                f"an APA for K={self.K} >= 1 has K hops, hop i with max(i - 1, 1) rows of 3")
+        # The encoders' fast paths hard-code Replace at hop 1.
+        if not np.array_equal(self.triples[0], [[0.0, 0.0, 1.0]]):
+            raise SequenceValidationError(
+                f"hop 1 has row {self.triples[0][0].tolist()}, not the fixed (0, 0, 1)")
+        rows = np.concatenate(self.triples)
+        ok = np.isnan(rows).all(axis=1) | (
+            np.isfinite(rows).all(axis=1) & (rows >= 0.0).all(axis=1)
+            & (np.abs(rows.sum(axis=1) - 1.0) <= SUM_TOL_FILE))
+        if not ok.all():
+            hops = np.repeat(np.arange(1, self.K + 1), [len(arr) for arr in self.triples])
+            raise SequenceValidationError(
+                f"hop {hops[np.argmin(ok)]} has a row that is neither all NaN (null) "
+                "nor a probability vector")
 
     def is_reachable(self, i: int, d: int) -> bool:
         return not np.isnan(self._row(i, d)[0])
@@ -297,18 +314,9 @@ def apa_from_json(text: str) -> Apa:
     with malformed("APA document"):
         doc = json.loads(text)
         K = int(doc["K"])
-        triples = []
-        for i, hop in enumerate(doc["p"], start=1):
-            n_rows = 1 if i == 1 else i - 1
-            if len(hop) != n_rows:
-                raise SequenceValidationError(
-                    f"hop {i} has {len(hop)} rows, expected {n_rows}")
-            arr = np.full((n_rows, 3), np.nan)
-            for j, row in enumerate(hop):
-                if row is not None:
-                    arr[j] = row
-            triples.append(arr)
-    return Apa(K, tuple(triples))
+        triples = tuple(np.array([[math.nan] * 3 if row is None else row for row in hop],
+                                 dtype=float) for hop in doc["p"])
+    return Apa(K, triples)
 
 
 def write_apa(apa: Apa, path) -> None:

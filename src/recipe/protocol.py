@@ -135,7 +135,7 @@ class Packet:
     packet_id: int
     hop_count: int = 0
     codeword: int = 0
-    degree_field: int | None = 0
+    degree_field: int = 0
 
 
 def _choose_action(triple: tuple[float, float, float], nu: float) -> int:
@@ -166,11 +166,8 @@ def step_recipe_d(pkt: Packet, my_id: int, apa: Apa, gh: GlobalHash) -> Packet:
     i = pkt.hop_count + 1
     if i > apa.K:
         raise RangeError(f"hop {i} beyond diameter {apa.K}")
-    d = pkt.degree_field if pkt.degree_field is not None else 0
-    if i == 1:
-        triple = apa.entry(1, 0)
-    else:
-        triple = apa.entry(i, d)  # raises ProtocolError on an unreachable entry
+    d = pkt.degree_field
+    triple = apa.entry(i, d)  # raises ProtocolError on an unreachable entry
     nu = hash_uniform(gh, i, pkt.packet_id)
     action = _choose_action(triple, nu)
     return replace(
@@ -279,6 +276,8 @@ class Avst:
             raise RangeError(f"table must have at least one row, got L={self.L}")
         if rows.shape != (self.L, self.K):
             raise RangeError(f"rows shape {rows.shape} != (L={self.L}, K={self.K})")
+        if (rows > REPLACE).any():
+            raise ConfigurationError("table contains a reserved action code")
 
     def verify_digest(self, apa: Apa) -> None:
         if apa.digest() != self.apa_digest:
@@ -345,6 +344,4 @@ def read_avst(path) -> Avst:
         chunk = (packed >> (2 * j)) & 0x3
         take = flat[j::4].size
         flat[j::4] = chunk[:take]
-    if (flat > REPLACE).any():
-        raise ConfigurationError("table contains a reserved action code")
     return Avst(L, K, flat.reshape(L, K), seed, digest.hex())

@@ -60,21 +60,6 @@ _BANK_CAP_FACTOR = 6
 
 
 @dataclass(frozen=True)
-class SearchConfig:
-    """Hyperparameters for both searchers (none are prescribed by theory)."""
-
-    candidates_per_hop: int = 1000
-    trials_per_candidate: int = 2000
-    restarts: int = 8
-    seed: int = 0
-    second_order: bool = False
-
-    def __post_init__(self):
-        if min(self.candidates_per_hop, self.trials_per_candidate, self.restarts) < 1:
-            raise RangeError("all search counts must be >= 1")
-
-
-@dataclass(frozen=True)
 class MeanFieldTerms:
     """Per-decode-rank pieces of the mean-field objective."""
 
@@ -351,7 +336,7 @@ def _qps_descend(mass: np.ndarray, K: int, second_order: bool, tag: int):
     return x, f, trace
 
 
-def qps_search(K: int, config: SearchConfig = SearchConfig(),
+def qps_search(K: int, restarts: int = 8, seed: int = 0, second_order: bool = False,
                trace: list | None = None, threads: int = 1) -> XddSequence:
     """Search invariant sequences for low mean-field decode cost.
 
@@ -364,9 +349,11 @@ def qps_search(K: int, config: SearchConfig = SearchConfig(),
     """
     if K < 1:
         raise RangeError(f"diameter must be positive, got K={K}")
+    if restarts < 1:
+        raise RangeError(f"restarts must be >= 1, got {restarts}")
     if K == 1:
         return sequence_from_masses([[1.0]])
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     d = np.arange(1, K + 1, dtype=float)
     starts = [
         np.asarray(shifted_soliton(K).mass, dtype=float),
@@ -374,9 +361,9 @@ def qps_search(K: int, config: SearchConfig = SearchConfig(),
         0.5 ** d,
         0.8 ** d,
     ]
-    for _ in range(config.restarts):
+    for _ in range(restarts):
         starts.append(rng.dirichlet(np.ones(K)))
-    jobs = [(np.asarray(start, dtype=float), K, config.second_order, tag)
+    jobs = [(np.asarray(start, dtype=float), K, second_order, tag)
             for tag, start in enumerate(starts)]
     results = map_jobs(_qps_descend, jobs, threads)
     best_x, best_f = None, math.inf
@@ -385,7 +372,7 @@ def qps_search(K: int, config: SearchConfig = SearchConfig(),
             trace.extend(job_trace)
         if f < best_f:
             best_x, best_f = x, f
-    ss_f, _ = mean_field_objective(shifted_soliton(K), config.second_order)
+    ss_f, _ = mean_field_objective(shifted_soliton(K), second_order)
     if best_f > ss_f + 1e-9:
         raise InternalConsistencyError("search ended worse than its seed")
     seq = expand_invariant(Xdd(K, best_x))
@@ -506,8 +493,9 @@ class _ScoringBank:
         return total / self.trials
 
 
-def hrs_search(K: int, config: SearchConfig = SearchConfig(),
-               mu_K: Xdd | None = None, trace: list | None = None) -> XddSequence:
+def hrs_search(K: int, candidates_per_hop: int = 1000, trials_per_candidate: int = 2000,
+               seed: int = 0, mu_K: Xdd | None = None,
+               trace: list | None = None) -> XddSequence:
     """Backward greedy search from a final-hop XDD (Robust Soliton default).
 
     At each hop the feasible predecessors are slack-sampled and scored by
@@ -517,21 +505,23 @@ def hrs_search(K: int, config: SearchConfig = SearchConfig(),
     """
     if K < 1:
         raise RangeError(f"diameter must be positive, got K={K}")
+    if min(candidates_per_hop, trials_per_candidate) < 1:
+        raise RangeError("candidates_per_hop and trials_per_candidate must be >= 1")
     if mu_K is None:
         mu_K = robust_soliton(K)
     if mu_K.k != K:
         raise RangeError(f"starting XDD has block size {mu_K.k}, expected {K}")
     if K == 1:
         return sequence_from_masses([[1.0]])
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
 
     def pick(cur: Xdd) -> np.ndarray:
         i = cur.k
-        cands = sample_feasible_predecessors(cur, config.candidates_per_hop, rng)
+        cands = sample_feasible_predecessors(cur, candidates_per_hop, rng)
         if i - 1 == 1:
             return cands[0]
-        bank = _ScoringBank(i - 1, config.trials_per_candidate,
-                            np.random.default_rng(config.seed ^ (i << 20)))
+        bank = _ScoringBank(i - 1, trials_per_candidate,
+                            np.random.default_rng(seed ^ (i << 20)))
         scores = [bank.score(c) for c in cands]
         if trace is not None:
             trace.append((i - 1, float(min(scores))))

@@ -33,7 +33,6 @@ from recipe.evaluation import (
 from recipe.feasibility import check_feasible, derive_apa, exact_induced_sequence
 from recipe.protocol import generate_avst
 from recipe.search import (
-    SearchConfig,
     hrs_search,
     mean_field_objective,
     qps_search,
@@ -170,7 +169,7 @@ def test_criterion_07_headline_comparison_vs_tuned_pint():
     params, _ = tune_pint(K, trials=400, seed=7001)
     pint = PintScheme(params, seed=7002, K=K)
     ss = RecipeDScheme(derive_apa(shifted_soliton_sequence(K)), seed=7002, label="ss")
-    qps_seq = qps_search(K, SearchConfig(restarts=6, seed=7003))
+    qps_seq = qps_search(K, restarts=6, seed=7003)
     qps = RecipeDScheme(derive_apa(qps_seq), seed=7002, label="qps")
     m_pint, _, _ = _mean_at(pint, K, trials, 7004)
     m_ss, _, _ = _mean_at(ss, K, trials, 7004)
@@ -190,7 +189,7 @@ def test_criterion_08_qps_beats_shifted_soliton():
     trials = 10**4
     details = []
     for K in (36, 59):
-        qps_seq = qps_search(K, SearchConfig(restarts=6, seed=8001))
+        qps_seq = qps_search(K, restarts=6, seed=8001)
         qps = RecipeDScheme(derive_apa(qps_seq), seed=8002)
         ss = RecipeDScheme(derive_apa(shifted_soliton_sequence(K)), seed=8002)
         m_q, se_q, _ = _mean_at(qps, K, trials, 8003)
@@ -209,9 +208,8 @@ def test_criterion_09_hrs_beats_qps_at_full_length():
     """
     K = 59
     trials = 10**4
-    hrs_seq = hrs_search(K, SearchConfig(candidates_per_hop=32,
-                                         trials_per_candidate=256, seed=9001))
-    qps_seq = qps_search(K, SearchConfig(restarts=6, seed=9002))
+    hrs_seq = hrs_search(K, candidates_per_hop=32, trials_per_candidate=256, seed=9001)
+    qps_seq = qps_search(K, restarts=6, seed=9002)
     hrs = RecipeDScheme(derive_apa(hrs_seq), seed=9003)
     qps = RecipeDScheme(derive_apa(qps_seq), seed=9003)
     m_h, se_h, _ = _mean_at(hrs, K, trials, 9004)
@@ -235,8 +233,8 @@ def test_criterion_10_mean_field_spot_values_and_toggle():
 
     K = 36
     trials = 5000
-    first = qps_search(K, SearchConfig(restarts=4, seed=10001, second_order=False))
-    second = qps_search(K, SearchConfig(restarts=4, seed=10001, second_order=True))
+    first = qps_search(K, restarts=4, seed=10001, second_order=False)
+    second = qps_search(K, restarts=4, seed=10001, second_order=True)
     m1, _, _ = _mean_at(RecipeDScheme(derive_apa(first), seed=10002), K, trials, 10003)
     m2, _, _ = _mean_at(RecipeDScheme(derive_apa(second), seed=10002), K, trials, 10003)
     shift = abs(m2 - m1) / m1

@@ -25,7 +25,7 @@ from recipe.distributions import PintParams, robust_soliton, shifted_soliton
 from recipe.evaluation import PintScheme, RecipeDScheme, RecipeTScheme, derive_seed, run_trials
 from recipe.feasibility import read_apa
 from recipe.protocol import read_avst
-from recipe.search import (SearchConfig, _objective_and_grad, hrs_search, mean_field_objective,
+from recipe.search import (_objective_and_grad, hrs_search, mean_field_objective,
                            project_invariant_polytope, qps_search, random_feasible_sequence)
 from recipe.xdd import sequence_to_json
 
@@ -118,17 +118,14 @@ def test_pint_run_trials_pinned():
 
 def test_hrs_search_sequence_and_scores_pinned():
     trace = []
-    seq = hrs_search(16, SearchConfig(candidates_per_hop=8, trials_per_candidate=64, seed=3),
-                     trace=trace)
+    seq = hrs_search(16, candidates_per_hop=8, trials_per_candidate=64, seed=3, trace=trace)
     assert _sha((sequence_to_json(seq) + repr(trace)).encode()) == HRS_SHA
 
 
 @pytest.mark.parametrize("K", sorted(QPS_SHA))
 def test_qps_search_sequence_and_trace_pinned(K):
-    config = {59: SearchConfig(restarts=2, seed=4),
-              30: SearchConfig(restarts=2, seed=4, second_order=True)}[K]
     trace = []
-    seq = qps_search(K, config, trace=trace)
+    seq = qps_search(K, restarts=2, seed=4, second_order=K == 30, trace=trace)
     assert _sha((sequence_to_json(seq) + repr(trace)).encode()) == QPS_SHA[K]
 
 

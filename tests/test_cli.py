@@ -105,9 +105,23 @@ def test_evaluate_pint_and_ks(tmp_path, capsys):
 
 
 def test_evaluate_requires_exactly_one_scheme(tmp_path, capsys):
-    code, _, err = run_cli(capsys, "evaluate", "--K", "3")
+    # Every artifact flag given is read: a second one would go unread.
+    ss, apa = tmp_path / "ss.json", tmp_path / "apa.json"
+    run_cli(capsys, "dist", "shifted-soliton", "--K", "3", "-o", str(ss))
+    run_cli(capsys, "derive-apa", str(ss), "-o", str(apa))
+    for flags in ([], ["--seq", str(ss), "--apa", str(apa)],
+                  ["--apa", str(apa), "--pint-p", "0.2"], ["--pint-p", "0.2"],
+                  ["--pint-alpha", "0.5"]):
+        code, out, err = run_cli(capsys, "evaluate", *flags, "--K", "3", "--trials", "2")
+        assert code == 3, flags
+        assert out == "" and "exactly one" in err
+
+
+def test_evaluate_negative_path_length_is_one_error_line(capsys):
+    code, out, err = run_cli(capsys, "evaluate", "--pint-alpha", ".5", "--pint-p", ".2",
+                             "--K", "3", "--ks=-1", "--trials", "2")
     assert code == 3
-    assert "exactly one" in err
+    assert out == "" and len(err.splitlines()) == 1 and "k=-1" in err
 
 
 def _recipe_d_stream(tmp_path, capsys):
@@ -204,6 +218,21 @@ def test_search_subcommands(tmp_path, capsys):
     assert check_feasible(read_sequence(out_h)).feasible
 
 
+@pytest.mark.parametrize("argv", [
+    ["hrs", "--restarts", "2"],
+    ["hrs", "--second-order"],
+    ["qps", "--candidates", "4"],
+    ["qps", "--trials", "4"],
+    ["qps", "--start", "f.json"],
+], ids=lambda argv: "-".join(a.lstrip("-") for a in argv[:2]))
+def test_search_refuses_the_other_algorithms_flags(tmp_path, capsys, argv):
+    out = tmp_path / "seq.json"
+    code, stdout, err = run_cli(capsys, "search", *argv, "--K", "3", "-o", str(out))
+    assert code == 1
+    assert stdout == "" and "unrecognized arguments" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_search_hrs_with_start_file(tmp_path, capsys):
     mu = tmp_path / "mu.json"
     run_cli(capsys, "dist", "robust-soliton", "--K", "4", "-o", str(mu))
@@ -275,6 +304,16 @@ def test_usage_errors_exit_1(capsys):
     assert main(["frobnicate"]) == 1
     assert main(["check"]) == 1
     assert main(["evaluate", "--K", "3", "--bogus-flag"]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["dist"], ["check"], ["derive-apa"], ["gen-avst"], ["simulate"], ["decode"],
+    ["search"], ["search", "hrs"], ["search", "qps"], ["evaluate"], ["compare"],
+], ids=lambda argv: "-".join(argv) or "recipe")
+def test_help_exits_0(argv, capsys):
+    code, out, _ = run_cli(capsys, *argv, "--help")
+    assert code == 0
+    assert out.startswith("usage: recipe")
 
 
 @pytest.mark.parametrize("argv", [
@@ -361,3 +400,8 @@ def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
     run_cli(capsys, "evaluate", "--pint-alpha", "0.5", "--pint-p", "0.2",
             "--K", "2", "--trials", "50", "--seed", "99", "-o", str(out2))
     assert out1.read_bytes() == out2.read_bytes()
+    # The parser is built once per process; the variable is read per call.
+    out3 = tmp_path / "c.csv"
+    run_cli(capsys, "evaluate", "--pint-alpha", "0.5", "--pint-p", "0.2",
+            "--K", "2", "--trials", "50", "-o", str(out3))
+    assert json.loads((tmp_path / "c.csv.manifest.json").read_text())["seed"] == 0

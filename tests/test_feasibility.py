@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from recipe.errors import (
     InternalConsistencyError,
     ProtocolError,
     RangeError,
+    SequenceValidationError,
 )
 from recipe.feasibility import (
     Apa,
@@ -281,3 +283,27 @@ def test_apa_entry_range_errors():
 def test_apa_json_shape_validation():
     with pytest.raises(Exception):
         apa_from_json('{"K": 2, "p": [[[0,0,1]], [[0.1,0.2,0.7],[0,0,1]]]}')
+
+
+@pytest.mark.parametrize("hops", [
+    pytest.param([[[0, 1, 0]], [[0.5, 0.25, 0.25]]], id="hop-1-skips"),
+    pytest.param([[[0, 0, 1]], [[0.9, 0.9, 0.9]]], id="sum-above-1"),
+    pytest.param([[[0, 0, 1]], [[-0.5, 2.0, 0.0]]], id="negative-entry"),
+    pytest.param([[[0, 0, 1]], [[0.5, None, 0.5]]], id="partly-null"),
+    pytest.param([[[0, 0, 1]], [[0.5, 0.5, 0.0], [0, 0, 1]]], id="extra-row"),
+])
+def test_apa_rows_validated_at_construction(tmp_path, hops):
+    # The batch kernel and replay hard-code Replace at hop 1, and every
+    # encoder reads a reachable row as a probability vector.
+    path = tmp_path / "apa.json"
+    path.write_text(json.dumps({"K": 2, "p": hops}))
+    with pytest.raises(SequenceValidationError):
+        read_apa(path)
+    with pytest.raises(SequenceValidationError):
+        Apa(2, tuple(np.array(hop, dtype=float) for hop in hops))
+
+
+def test_apa_accepts_null_rows_and_file_rounding():
+    apa = apa_from_json('{"K": 3, "p": [[[0, 0, 1]], [[0.5, 0.25, 0.2500000005]], '
+                        '[[0.5, 0.5, 0], null]]}')
+    assert apa.is_reachable(2, 1) and not apa.is_reachable(3, 2)

@@ -267,12 +267,12 @@ def test_step_recipe_t_forced_single_row():
     avst = Avst(1, 3, np.array([[REPLACE, SKIP, SKIP]], dtype=np.uint8), 0, digest)
     gh = GlobalHash(3)
     ids = [0x111, 0x222, 0x333]
-    pkt = Packet(packet_id=42, degree_field=None)
+    pkt = Packet(packet_id=42)
     for i in range(3):
         pkt = step_recipe_t(pkt, ids[i], avst, gh)
     assert pkt.codeword == 0x111
     avst2 = Avst(1, 3, np.array([[REPLACE, ADD, ADD]], dtype=np.uint8), 0, digest)
-    pkt = Packet(packet_id=42, degree_field=None)
+    pkt = Packet(packet_id=42)
     for i in range(3):
         pkt = step_recipe_t(pkt, ids[i], avst2, gh)
     assert pkt.codeword == 0x111 ^ 0x222 ^ 0x333
@@ -310,6 +310,19 @@ def test_avst_digest_binding():
     avst.verify_digest(apa3)
     with pytest.raises(ConfigurationError):
         avst.verify_digest(apa4)
+
+
+def test_avst_reserved_action_code_is_refused(tmp_path):
+    # Code 3 would split the batch view (it counts as acting) from replay.
+    with pytest.raises(ConfigurationError):
+        Avst(1, 4, np.array([[ADD, ADD, 3, ADD]], dtype=np.uint8), 0, "00" * 32)
+    path = tmp_path / "t.avst"
+    write_avst(generate_avst(derive_apa(shifted_soliton_sequence(4)), 1, seed=1), path)
+    blob = bytearray(path.read_bytes())
+    blob[-1] |= 0b11  # hop 1 of the only row
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ConfigurationError):
+        read_avst(path)
 
 
 def test_read_avst_rejects_garbage(tmp_path):

@@ -8,7 +8,6 @@ from recipe.distributions import shifted_soliton
 from recipe.errors import RangeError
 from recipe.feasibility import check_feasible, check_invariant_feasible, _rhs_mu
 from recipe.search import (
-    SearchConfig,
     _objective_and_grad,
     _project_weighted_simplex,
     hrs_search,
@@ -198,21 +197,20 @@ def test_random_feasible_sequences_pass_check():
 
 
 def test_hrs_k1():
-    seq = hrs_search(1, SearchConfig(candidates_per_hop=2, trials_per_candidate=2))
+    seq = hrs_search(1, candidates_per_hop=2, trials_per_candidate=2)
     assert seq.K == 1 and list(seq.xdd(1).mass) == [1.0]
 
 
 def test_hrs_k2_unique_predecessor():
     # budget = q_2(1) = 1/4 and a single scaled slack force mu_1 = (1).
     mu2 = Xdd(2, [0.5, 0.5])
-    seq = hrs_search(2, SearchConfig(candidates_per_hop=5, trials_per_candidate=5), mu_K=mu2)
+    seq = hrs_search(2, candidates_per_hop=5, trials_per_candidate=5, mu_K=mu2)
     assert list(seq.xdd(1).mass) == [1.0]
     assert list(seq.xdd(2).mass) == [0.5, 0.5]
 
 
 def test_hrs_output_feasible_and_keeps_final_hop():
-    cfg = SearchConfig(candidates_per_hop=8, trials_per_candidate=40, seed=3)
-    seq = hrs_search(6, cfg)
+    seq = hrs_search(6, candidates_per_hop=8, trials_per_candidate=40, seed=3)
     assert check_feasible(seq).feasible
     from recipe.distributions import robust_soliton
     assert np.abs(seq.xdd(6).mass - robust_soliton(6).mass).max() < 1e-15
@@ -220,7 +218,7 @@ def test_hrs_output_feasible_and_keeps_final_hop():
 
 def test_hrs_rejects_wrong_start_size():
     with pytest.raises(RangeError):
-        hrs_search(3, SearchConfig(), mu_K=Xdd(2, [0.5, 0.5]))
+        hrs_search(3, mu_K=Xdd(2, [0.5, 0.5]))
 
 
 def test_qps_k1():
@@ -229,9 +227,8 @@ def test_qps_k1():
 
 
 def test_qps_output_feasible_and_no_worse_than_seed():
-    cfg = SearchConfig(restarts=3, seed=4)
     for K in (4, 12, 24):
-        seq = qps_search(K, cfg)
+        seq = qps_search(K, restarts=3, seed=4)
         assert check_feasible(seq).feasible
         f_qps, _ = mean_field_objective(seq.xdd(K))
         f_ss, _ = mean_field_objective(shifted_soliton(K))
@@ -239,10 +236,9 @@ def test_qps_output_feasible_and_no_worse_than_seed():
 
 
 def test_qps_deterministic_and_thread_invariant():
-    cfg = SearchConfig(restarts=2, seed=5)
-    a = qps_search(10, cfg)
-    b = qps_search(10, cfg)
-    c = qps_search(10, cfg, threads=2)
+    a = qps_search(10, restarts=2, seed=5)
+    b = qps_search(10, restarts=2, seed=5)
+    c = qps_search(10, restarts=2, seed=5, threads=2)
     for xa, xb, xc in zip(a.xdds, b.xdds, c.xdds):
         assert np.array_equal(xa.mass, xb.mass)
         assert np.array_equal(xa.mass, xc.mass)
@@ -250,7 +246,7 @@ def test_qps_deterministic_and_thread_invariant():
 
 def test_qps_trace_records_progress():
     trace = []
-    qps_search(6, SearchConfig(restarts=1, seed=6), trace=trace)
+    qps_search(6, restarts=1, seed=6, trace=trace)
     assert trace and len(trace[0]) == 3
 
 
@@ -268,11 +264,16 @@ def test_qps_gradient_only_on_accepted_steps(monkeypatch):
 
     monkeypatch.setattr(search, "_objective_and_grad", counting)
     rows = []
-    qps_search(30, SearchConfig(restarts=2, seed=8), trace=rows)
+    qps_search(30, restarts=2, seed=8, trace=rows)
     assert max(it for _, it, _ in rows) < 1999  # no start ran out of iterations
     assert len(calls) == len(rows)
 
 
-def test_search_config_validation():
-    with pytest.raises(RangeError):
-        SearchConfig(candidates_per_hop=0)
+def test_search_counts_below_one_are_refused():
+    # Checked before the K = 1 shortcut, so even a trivial search refuses.
+    for search_fn, counts in ((hrs_search, {"candidates_per_hop": 0}),
+                              (hrs_search, {"trials_per_candidate": 0}),
+                              (qps_search, {"restarts": 0})):
+        for K in (1, 4):
+            with pytest.raises(RangeError):
+                search_fn(K, **counts)
