@@ -16,7 +16,7 @@ from recipe import (
     replay_xor_set,
     shifted_soliton_sequence,
 )
-from recipe.decoder import PeelingState, peel_insert
+from recipe.decoder import PeelingState, peel_insert, replay_xor_mask
 
 print("=" * 72)
 print("Hash replay: the decoder reconstructs every XOR-set")
@@ -36,13 +36,13 @@ print("=" * 72)
 ids = {1: 0xAA, 2: 0xBB, 3: 0xCC}
 state = PeelingState(3)
 print("insert {1,2,3} (all three XORed together): nothing resolvable yet")
-peel_insert(state, ReceivedCodeword(0, 3, ids[1] ^ ids[2] ^ ids[3], {1, 2, 3}))
+peel_insert(state, ReceivedCodeword(0, 3, ids[1] ^ ids[2] ^ ids[3], 0b111))
 print("  resolved:", state.resolved)
 print("insert {2,3}: still nothing, two unknowns in both pending codewords")
-peel_insert(state, ReceivedCodeword(1, 3, ids[2] ^ ids[3], {2, 3}))
+peel_insert(state, ReceivedCodeword(1, 3, ids[2] ^ ids[3], 0b110))
 print("  resolved:", state.resolved)
 print("insert {3}: resolves hop 3, cascades through both pending codewords")
-newly = peel_insert(state, ReceivedCodeword(2, 3, ids[3], {3}))
+newly = peel_insert(state, ReceivedCodeword(2, 3, ids[3], 0b100))
 print("  newly resolved:", newly)
 print("  resolved:", {h: hex(v) for h, v in sorted(state.resolved.items())})
 
@@ -55,9 +55,7 @@ truth = [int(v) for v in rng.integers(1, 2**32, size=k)]
 def deliveries():
     while True:
         pid = int(rng.integers(0, 2**64, dtype=np.uint64))
-        mask = 0
-        for h in replay_xor_set(pid, k, scheme):
-            mask |= 1 << (h - 1)
+        mask = replay_xor_mask(pid, k, scheme)
         value = 0
         for h in range(k):
             if (mask >> h) & 1:

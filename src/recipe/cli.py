@@ -35,7 +35,6 @@ from .distributions import (
     shifted_soliton_sequence,
 )
 from .errors import (
-    ConfigurationError,
     InfeasibleSequenceError,
     RangeError,
     RecipeError,
@@ -65,7 +64,7 @@ from .protocol import (
 )
 from .search import hrs_search, qps_search
 from .xdd import (
-    _atomic_write_text,
+    _atomic_write_bytes,
     malformed,
     read_sequence,
     read_xdd,
@@ -105,7 +104,8 @@ def _write_manifest(out_path: str, args, inputs: list[str]) -> None:
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
-    _atomic_write_text(out_path + ".manifest.json", json.dumps(manifest, indent=2) + "\n")
+    _atomic_write_bytes(out_path + ".manifest.json",
+                        (json.dumps(manifest, indent=2) + "\n").encode("utf-8"))
 
 
 def _scheme_from_args(args, K: int):
@@ -115,13 +115,9 @@ def _scheme_from_args(args, K: int):
             or pint != (args.pint_p is not None)):
         raise RangeError("exactly one of --seq, --apa, --avst, or --pint-alpha with "
                          "--pint-p required")
-    kind = "recipe-t" if args.avst else "pint" if pint else "recipe-d"
-    mode = getattr(args, "mode", None)
-    if mode and mode != kind:
-        raise ConfigurationError(f"--mode {mode} does not match the {kind} artifacts given")
-    if kind == "recipe-t":
+    if args.avst:
         return RecipeTScheme(read_avst(args.avst), seed=args.seed)
-    if kind == "pint":
+    if pint:
         return PintScheme(PintParams(args.pint_alpha, args.pint_p), seed=args.seed, K=K)
     apa = read_apa(args.apa) if args.apa else derive_apa(read_sequence(args.seq))
     return RecipeDScheme(apa=apa, seed=args.seed)
@@ -130,7 +126,7 @@ def _scheme_from_args(args, K: int):
 def _emit(args, text: str, inputs: list[str]) -> None:
     """Write an output to -o atomically, with its manifest, or else to stdout."""
     if args.output:
-        _atomic_write_text(args.output, text)
+        _atomic_write_bytes(args.output, text.encode("utf-8"))
         _write_manifest(args.output, args, inputs)
     else:
         sys.stdout.write(text)
@@ -192,6 +188,7 @@ def _cmd_gen_avst(args) -> int:
 
 def _cmd_simulate(args) -> int:
     scheme = _scheme_from_args(args, args.k)
+    scheme._check_length(args.k)
     rng = np.random.default_rng(args.seed)
     switch_ids = [int(v) for v in _draw_switch_ids(rng, args.k)]
     print(f"switch IDs: {[hex(v) for v in switch_ids]}")
@@ -217,6 +214,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_decode(args) -> int:
     scheme = _scheme_from_args(args, args.k)
+    scheme._check_length(args.k)
 
     def lines():
         # The guard covers reading and parsing; the replay of each line's
@@ -260,7 +258,7 @@ def _write_search(args, seq, trace_rows: list[str], inputs: list[str]) -> int:
     write_sequence(seq, args.output)
     _write_manifest(args.output, args, inputs)
     if args.trace:
-        _atomic_write_text(args.trace, "\n".join(trace_rows) + "\n")
+        _atomic_write_bytes(args.trace, ("\n".join(trace_rows) + "\n").encode("utf-8"))
     print(f"wrote {args.algorithm} sequence for K={seq.K} to {args.output}")
     return EXIT_OK
 
@@ -361,8 +359,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("decode", help="decode a JSONL codeword stream")
     add_scheme_flags(p)
-    p.add_argument("--mode", choices=["recipe-d", "recipe-t", "pint"],
-                   help="the protocol the artifacts must be for; a mismatch decodes nothing")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--in", dest="input", required=True,
                    help="one {\"packet_id\":..,\"codeword\":..} per line")

@@ -8,7 +8,7 @@ feed an incremental peeling decoder: any codeword reduced to a single
 unknown member resolves that hop and cascades.
 
 XOR-sets are carried as integer bitmasks (bit h-1 set means hop h is in
-the set); helpers convert to and from explicit hop sets at the API edge.
+the set); `hops_from_mask` turns one into hop indices for display.
 
 The protocol classes live here too, one per protocol: the destination's
 replay and the evaluation's batch encoder are two methods of one object,
@@ -62,6 +62,8 @@ class _Protocol:
         object.__setattr__(self, "gh", gh)
 
     def _check_length(self, k: int) -> None:
+        if k < 1:
+            raise RangeError(f"path length must be positive, got k={k}")
         if k > self.K:
             raise RangeError(f"path length {k} beyond diameter {self.K}")
 
@@ -118,7 +120,7 @@ class RecipeDScheme(_Protocol):
         """The degree walk of `step_recipe_d` over hops 1..k of one packet,
         with every hop's draw hashed in one call."""
         self._check_length(k)
-        nus = hash_uniform_array(self.gh, self._hops[:max(k, 0)], packet_id & _MASK64)
+        nus = hash_uniform_array(self.gh, self._hops[:k], packet_id & _MASK64)
         mask, d = 0, 0
         for bit, nu, p_add, p_add_rep in zip(self._bits, nus.tolist(),
                                              self._p_add, self._p_add_rep):
@@ -162,7 +164,7 @@ class RecipeTScheme(_Protocol):
     def replay(self, packet_id: int, k: int) -> int:
         """Hops 1..k of the packet's table row: no per-hop draw."""
         self._check_length(k)
-        row = self.avst.rows[row_select(self.gh, packet_id, self.avst.L), :max(k, 0)]
+        row = self.avst.rows[row_select(self.gh, packet_id, self.avst.L), :k]
         mask = 0
         for h, action in enumerate(row.tolist()):
             if action == ADD:
@@ -201,11 +203,11 @@ class PintScheme(_Protocol):
         branch: the last hop i with u_i < 1/i holds the slot (hop 1 always
         qualifies).  Binomial branch: every hop with u_i < p, possibly none."""
         self._check_length(k)
-        hops = np.arange(max(k, 0) + 1, dtype=np.uint64)
+        hops = np.arange(k + 1, dtype=np.uint64)
         u = hash_uniform_array(self.gh, hops, packet_id & _MASK64)
         if u[0] < self.params.alpha:
             hits = _pack_bits(u[1:] < 1.0 / hops[1:])
-            return 1 << max(hits.bit_length() - 1, 0)
+            return 1 << (hits.bit_length() - 1)
         return _pack_bits(u[1:] < self.params.p)
 
 
@@ -222,13 +224,6 @@ def _pack_bits(flags: np.ndarray) -> int:
     fold, which cost about ten times as much for a single row.
     """
     return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
-
-
-def mask_from_hops(hops) -> int:
-    mask = 0
-    for h in hops:
-        mask |= 1 << (h - 1)
-    return mask
 
 
 def hops_from_mask(mask: int) -> frozenset[int]:
@@ -259,19 +254,13 @@ def replay_xor_set(packet_id: int, k: int, mode) -> frozenset[int]:
 
 @dataclass(frozen=True)
 class ReceivedCodeword:
-    """One delivered codeword with its reconstructed XOR-set.
-
-    xor_set may be given as an int bitmask or any iterable of hop indices.
-    """
+    """One delivered codeword with its reconstructed XOR-set as an int
+    bitmask (bit h-1 = hop h)."""
 
     packet_id: int
     path_length: int
     codeword: int
-    xor_set: object
-
-    def mask(self) -> int:
-        xs = self.xor_set
-        return xs if isinstance(xs, int) else mask_from_hops(xs)
+    xor_set: int
 
 
 class PeelingState:
@@ -380,7 +369,7 @@ def _checked_mask(state: PeelingState, cw: ReceivedCodeword) -> int:
     if cw.path_length != state.k:
         raise RangeError(
             f"codeword for path length {cw.path_length} fed to a k={state.k} decoder")
-    return cw.mask()
+    return cw.xor_set
 
 
 def peel_insert(state: PeelingState, cw: ReceivedCodeword) -> list[int]:

@@ -14,8 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvariantExpansionError, RangeError
-from .xdd import SUM_TOL, Xdd, XddSequence, binomial_log, sequence_from_masses
+from .errors import RangeError
+from .xdd import Xdd, XddSequence, binomial_log, sequence_from_masses
 
 
 @lru_cache(maxsize=4096)
@@ -135,13 +135,13 @@ def pint_sequence(K: int, params: PintParams) -> XddSequence:
     return XddSequence(K, tuple(pint_xdd(k, params) for k in range(1, K + 1)))
 
 
-def expand_invariant(mu_K: Xdd, tol: float = SUM_TOL) -> XddSequence:
+def expand_invariant(mu_K: Xdd) -> XddSequence:
     """Expand a final-hop XDD into the invariant sequence it determines.
 
     An invariant sequence keeps mu_i(d) equal to mu_K(d) for every d < i
     and puts the remaining tail mass on the top degree:
-    mu_i(i) = 1 - sum_{d<i} mu_K(d).  Tail masses more negative than the
-    tolerance indicate an invalid input; tiny negative rounding is clamped.
+    mu_i(i) = 1 - sum_{d<i} mu_K(d).  A negative tail is clamped to 0, so
+    a head summing past 1 fails the row's own Xdd check.
     """
     K = mu_K.k
     masses = []
@@ -151,8 +151,5 @@ def expand_invariant(mu_K: Xdd, tol: float = SUM_TOL) -> XddSequence:
             continue
         head = np.array(mu_K.mass[: i - 1])
         tail = 1.0 - float(np.sum(head))
-        if tail < -tol:
-            raise InvariantExpansionError(
-                f"negative tail mass {tail!r} at path length {i}")
         masses.append(np.append(head, max(tail, 0.0)))
     return sequence_from_masses(masses)

@@ -30,10 +30,6 @@ class UniformityError(RecipeError):
     """Exact enumeration found same-size XOR-sets with unequal probability."""
 
 
-class InvariantExpansionError(RecipeError, ValueError):
-    """Expanding a final-hop XDD produced a negative tail mass."""
-
-
 class ProtocolError(RecipeError):
     """A stateless encoder consulted an entry it must never reach."""
 

@@ -29,7 +29,7 @@ from .feasibility import derive_apa
 from .protocol import _mix64, masks_from_members, xor_members
 # Unused here, but bench/tracing.py patches these names on this module.
 from .protocol import hash_uniform_array, row_select_array  # noqa: F401
-from .xdd import XddSequence, _atomic_write_text, malformed, read_text
+from .xdd import XddSequence, _atomic_write_bytes, malformed, read_text
 
 # Packets consumed before a trial is declared incomplete; incomplete trials
 # contribute exactly this value to the mean (pessimistic).
@@ -161,7 +161,7 @@ def efficiency_curve(scheme, K: int, trials: int, seed: int,
     return EfficiencyCurve(scheme.label, K, tuple(points))
 
 
-def compare_t_vs_d(seq: XddSequence, K: int, L_values, trials: int, seed: int,
+def compare_t_vs_d(seq: XddSequence, L_values, trials: int, seed: int,
                    ks=None, threads: int = 1) -> dict[str, EfficiencyCurve]:
     """Table-based approximation quality study: one curve per table size
     against the exact degree-based protocol, from one derived APA."""
@@ -170,12 +170,12 @@ def compare_t_vs_d(seq: XddSequence, K: int, L_values, trials: int, seed: int,
     apa = derive_apa(seq)
     curves = {}
     d_scheme = RecipeDScheme(apa=apa, seed=seed, label="recipe-d")
-    curves["recipe-d"] = efficiency_curve(d_scheme, K, trials, seed, ks=ks, threads=threads)
+    curves["recipe-d"] = efficiency_curve(d_scheme, seq.K, trials, seed, ks=ks, threads=threads)
     for L in L_values:
         avst = generate_avst(apa, L, derive_seed(seed, 1_000_000 + L))
         t_scheme = RecipeTScheme(avst, seed=seed)
         curves[t_scheme.label] = efficiency_curve(
-            t_scheme, K, trials, seed, ks=ks, threads=threads)
+            t_scheme, seq.K, trials, seed, ks=ks, threads=threads)
     return curves
 
 
@@ -252,7 +252,7 @@ def curves_to_csv(curves) -> str:
 
 
 def write_curves_csv(path, curves) -> None:
-    _atomic_write_text(path, curves_to_csv(curves))
+    _atomic_write_bytes(path, curves_to_csv(curves).encode("utf-8"))
 
 
 def read_curves_csv(path) -> list[EfficiencyCurve]:

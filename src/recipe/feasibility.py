@@ -45,9 +45,9 @@ from .xdd import (
     SUM_TOL_FILE,
     Xdd,
     XddSequence,
-    _atomic_write_text,
-    binomial_log,
+    _atomic_write_bytes,
     malformed,
+    q_from_mu,
     read_text,
     sequence_from_masses,
 )
@@ -101,13 +101,8 @@ def check_feasible(seq: XddSequence) -> FeasibilityReport:
         bad = np.nonzero(lhs - rhs < -SLACK_TOL)[0]
         for idx in bad:
             d = int(idx) + 1
-            c = math.comb(i - 1, d)
-            if c <= 2**53:
-                lhs_q, rhs_q = lhs[idx] / c, rhs[idx] / c
-            else:
-                scale = math.exp(-binomial_log(i - 1, d))
-                lhs_q, rhs_q = lhs[idx] * scale, rhs[idx] * scale
-            violations.append(Violation(i, d, float(lhs_q), float(rhs_q)))
+            violations.append(Violation(i, d, float(q_from_mu(lhs[idx], i - 1, d)),
+                                        float(q_from_mu(rhs[idx], i - 1, d))))
     return FeasibilityReport(not violations, tuple(violations))
 
 
@@ -320,7 +315,7 @@ def apa_from_json(text: str) -> Apa:
 
 
 def write_apa(apa: Apa, path) -> None:
-    _atomic_write_text(path, apa_to_json(apa))
+    _atomic_write_bytes(path, apa_to_json(apa).encode("utf-8"))
 
 
 def read_apa(path) -> Apa:

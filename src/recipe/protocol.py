@@ -217,7 +217,7 @@ def pint_actions(alpha: float, p: float, gh: GlobalHash, k: int,
     inverse = 1.0 / hops
     codes = np.where(reservoir, REPLACE, ADD).astype(np.uint8)
     actions = np.empty((pids.size, k), dtype=np.uint8)
-    rows = max(1, _SLAB_CELLS // max(k, 1))
+    rows = max(1, _SLAB_CELLS // k)
     for lo in range(0, pids.size, rows):
         hi = min(lo + rows, pids.size)
         u = hash_uniform_array(gh, hops, np.broadcast_to(pids[lo:hi, None], (hi - lo, k)))

@@ -393,19 +393,16 @@ def slack_budget(mu_i: Xdd) -> float:
     return mu_i.mu(1) / mu_i.k
 
 
-def verify_slack_budget(mu_i) -> Fraction:
+def verify_slack_budget(masses) -> Fraction:
     """Exact-arithmetic oracle for the slack budget identity: computes
     1 - sum_d C(i-1,d) (q_i(d) + q_i(d+1)) with big-integer rationals.
 
-    Accepts an Xdd or any iterable of masses (floats or Fractions).  The
-    identity budget = q_i(1) is an algebraic fact about distributions that
-    sum to exactly 1, so exactness tests feed exact rationals; float
-    masses carry their representation error into the result.
+    Takes the masses of mu_i (floats or Fractions).  The identity
+    budget = q_i(1) is an algebraic fact about distributions that sum to
+    exactly 1, so exactness tests feed exact rationals; float masses carry
+    their representation error into the result.
     """
-    if isinstance(mu_i, Xdd):
-        masses = [Fraction(float(v)) for v in mu_i.mass]
-    else:
-        masses = [Fraction(v) for v in mu_i]
+    masses = [Fraction(v) for v in masses]
     i = len(masses)
     if i == 1:
         return Fraction(0)

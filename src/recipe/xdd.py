@@ -63,7 +63,7 @@ class Xdd:
         object.__setattr__(self, "mass", mass)
         if self.k < 1:
             raise RangeError(f"block size must be positive, got k={self.k}")
-        issues = validate_xdd(self)
+        issues = validate_xdd((self.k, self.mass))
         if issues:
             raise SequenceValidationError(f"invalid XDD (k={self.k}): " + "; ".join(issues))
 
@@ -76,17 +76,11 @@ class Xdd:
         return self.k
 
 
-def validate_xdd(xdd, tol: float = SUM_TOL) -> list[str]:
-    """Report every invariant violation of an XDD; empty list iff valid.
-
-    Accepts either an Xdd or a raw (k, mass) pair so that candidate vectors
-    can be checked before construction.
-    """
-    if isinstance(xdd, Xdd):
-        k, mass = xdd.k, xdd.mass
-    else:
-        k, mass = xdd
-        mass = np.asarray(mass, dtype=float)
+def validate_xdd(pair, tol: float = SUM_TOL) -> list[str]:
+    """Report every invariant violation of a raw (k, mass) pair; empty list
+    iff valid, so candidate vectors can be checked before construction."""
+    k, mass = pair
+    mass = np.asarray(mass, dtype=float)
     issues = []
     if len(mass) != k:
         issues.append(f"mass has {len(mass)} entries, expected k={k}")
@@ -104,19 +98,18 @@ def validate_xdd(xdd, tol: float = SUM_TOL) -> list[str]:
     return issues
 
 
-def mu_to_q(xdd: Xdd, d: int) -> float:
-    """Probability q(d) of one specific size-d XOR-set: mu(d) / C(k, d).
-
-    Uses exact integer division while C(k, d) fits a double exactly and
-    falls back to log space beyond that, so no intermediate overflows.
-    """
-    m = xdd.mu(d)  # range-checks d
-    if m == 0.0:
-        return 0.0
-    c = math.comb(xdd.k, d)
+def q_from_mu(m: float, n: int, d: int) -> float:
+    """m / C(n, d): exact integer division while C(n, d) fits a double
+    exactly, a log-space binomial beyond that, so no intermediate overflows."""
+    c = math.comb(n, d)
     if c <= _EXACT_COMB_LIMIT:
         return m / c
-    return math.exp(math.log(m) - binomial_log(xdd.k, d))
+    return m * math.exp(-binomial_log(n, d))
+
+
+def mu_to_q(xdd: Xdd, d: int) -> float:
+    """Probability q(d) of one specific size-d XOR-set: mu(d) / C(k, d)."""
+    return q_from_mu(xdd.mu(d), xdd.k, d)  # mu range-checks d
 
 
 @dataclass(frozen=True)
@@ -241,23 +234,15 @@ def read_xdd(path) -> Xdd:
 
 
 def write_sequence(seq: XddSequence, path) -> None:
-    _atomic_write_text(path, sequence_to_json(seq))
+    _atomic_write_bytes(path, sequence_to_json(seq).encode("utf-8"))
 
 
 def read_sequence(path) -> XddSequence:
     return sequence_from_json(read_text(path, "sequence document"))
 
 
-def _atomic_write_text(path, text: str) -> None:
-    """Write-then-rename so readers never observe a partial file."""
-    path = os.fspath(path)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def _atomic_write_bytes(path, blob: bytes) -> None:
+    """Write-then-rename so readers never observe a partial file."""
     path = os.fspath(path)
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:

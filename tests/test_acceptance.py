@@ -126,7 +126,7 @@ def test_criterion_05_table_convergence():
     K = 16
     trials = 10**5
     seed = 5001
-    by_label = compare_t_vs_d(shifted_soliton_sequence(K), K, [1000, 30000], trials, seed,
+    by_label = compare_t_vs_d(shifted_soliton_sequence(K), [1000, 30000], trials, seed,
                               threads=THREADS)
     d_curve = by_label["recipe-d"]
     curves = {L: by_label[f"recipe-t:L={L}"] for L in (1000, 30000)}

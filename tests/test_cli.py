@@ -158,22 +158,31 @@ def test_decode_stream_cli(tmp_path, capsys):
     assert doc["resolved"] == {"1": 0x101, "2": 0x202, "3": 0x303}
 
 
-def test_decode_mode_agreeing_with_artifacts_decodes(tmp_path, capsys):
+def test_decode_mode_is_a_usage_error(tmp_path, capsys):
+    # The artifact flag names the protocol; there is no second way to say it.
     ss, stream = _recipe_d_stream(tmp_path, capsys)
-    code, out, _ = run_cli(capsys, "decode", "--seq", str(ss), "--mode", "recipe-d",
-                           "--k", "3", "--in", str(stream), "--seed", "5")
-    assert code == 0
-    assert json.loads(out)["resolved"] == {"1": 0x101, "2": 0x202, "3": 0x303}
-
-
-def test_decode_mode_disagreeing_with_artifacts_decodes_nothing(tmp_path, capsys):
-    ss, stream = _recipe_d_stream(tmp_path, capsys)
-    for mode in ("recipe-t", "pint"):
+    for mode in ("recipe-d", "pint", "x"):
         code, out, err = run_cli(capsys, "decode", "--seq", str(ss), "--mode", mode,
                                  "--k", "3", "--in", str(stream), "--seed", "5")
-        assert code == 3  # ConfigurationError
-        assert out == ""
-        assert f"--mode {mode} does not match the recipe-d artifacts" in err
+        assert code == 1, mode
+        assert out == "" and "unrecognized arguments: --mode" in err
+
+
+def test_path_length_outside_1_to_K_is_one_error_line(tmp_path, capsys):
+    # PINT needs no diameter: its K is the --k given, so only k < 1 is out.
+    ss, apa, table = tmp_path / "ss.json", tmp_path / "apa.json", tmp_path / "t.avst"
+    run_cli(capsys, "dist", "shifted-soliton", "--K", "3", "-o", str(ss))
+    run_cli(capsys, "derive-apa", str(ss), "-o", str(apa))
+    run_cli(capsys, "gen-avst", "--apa", str(apa), "--L", "50", "-o", str(table))
+    empty = tmp_path / "none.jsonl"
+    empty.write_text("")
+    for flags, ks in ((["--seq", str(ss)], (0, -1, 4)), (["--avst", str(table)], (0, -1, 4)),
+                      (["--pint-alpha", ".5", "--pint-p", ".2"], (0, -1))):
+        for command in (["simulate"], ["decode", "--in", str(empty)]):
+            for k in ks:
+                code, out, err = run_cli(capsys, *command, *flags, f"--k={k}")
+                assert code == 3, (command, flags, k)
+                assert out == "" and len(err.splitlines()) == 1 and "path length" in err
 
 
 def test_simulate_trace(tmp_path, capsys):

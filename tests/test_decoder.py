@@ -10,7 +10,6 @@ from recipe.decoder import (
     RecipeTMode,
     decode_stream,
     hops_from_mask,
-    mask_from_hops,
     peel_insert,
     replay_xor_mask,
     replay_xor_set,
@@ -42,7 +41,6 @@ from oracles import two_hop_expected_used
 
 
 def test_mask_set_round_trip():
-    assert mask_from_hops([1, 3]) == 0b101
     assert hops_from_mask(0b101) == frozenset({1, 3})
     assert hops_from_mask(0) == frozenset()
 
@@ -157,10 +155,17 @@ def test_replay_reservoir_branch_is_single_uniformish_hop():
 
 
 def test_replay_range_errors():
+    # A path length is 1..K in every scheme's replay and batch encoder.
     apa = derive_apa(shifted_soliton_sequence(3))
-    scheme = RecipeDScheme(apa)
-    with pytest.raises(RangeError):
-        replay_xor_mask(1, 4, scheme)
+    schemes = [RecipeDScheme(apa), RecipeTScheme(generate_avst(apa, 20, seed=1)),
+               PintScheme(PintParams(0.5, 0.2), K=3)]
+    pids = np.arange(4, dtype=np.uint64)
+    for scheme in schemes:
+        for k in (0, -1, 4):
+            with pytest.raises(RangeError):
+                replay_xor_mask(7, k, scheme)
+            with pytest.raises(RangeError):
+                scheme.actions(k, pids)
     with pytest.raises(ConfigurationError):
         replay_xor_mask(1, 3, apa)  # an APA is not a decode mode
 
@@ -192,7 +197,7 @@ def test_replay_takes_packet_ids_mod_2_64():
 
 def test_peel_degree_one_resolves_directly():
     state = PeelingState(3)
-    newly = peel_insert(state, ReceivedCodeword(1, 3, 0xAA, frozenset({2})))
+    newly = peel_insert(state, ReceivedCodeword(1, 3, 0xAA, 0b10))
     assert newly == [2]
     assert state.resolved == {2: 0xAA}
 
@@ -200,8 +205,8 @@ def test_peel_degree_one_resolves_directly():
 def test_peel_cascade_through_pending_pair():
     state = PeelingState(2)
     a, b = 0x11, 0x22
-    assert peel_insert(state, ReceivedCodeword(1, 2, a ^ b, {1, 2})) == []
-    newly = peel_insert(state, ReceivedCodeword(2, 2, b, {2}))
+    assert peel_insert(state, ReceivedCodeword(1, 2, a ^ b, 0b11)) == []
+    newly = peel_insert(state, ReceivedCodeword(2, 2, b, 0b10))
     assert sorted(newly) == [1, 2]
     assert state.resolved == {1: a, 2: b}
     assert state.pending_count() == 0
@@ -209,34 +214,34 @@ def test_peel_cascade_through_pending_pair():
 
 def test_peel_high_degree_just_parks():
     state = PeelingState(3)
-    assert peel_insert(state, ReceivedCodeword(1, 3, 7, {1, 2, 3})) == []
+    assert peel_insert(state, ReceivedCodeword(1, 3, 7, 0b111)) == []
     assert state.resolved == {}
     assert state.pending_count() == 1
 
 
 def test_peel_duplicates_and_empties_absorbed():
     state = PeelingState(2)
-    peel_insert(state, ReceivedCodeword(1, 2, 5, {1}))
-    assert peel_insert(state, ReceivedCodeword(2, 2, 5, {1})) == []
-    assert peel_insert(state, ReceivedCodeword(3, 2, 0, frozenset())) == []
+    peel_insert(state, ReceivedCodeword(1, 2, 5, 0b1))
+    assert peel_insert(state, ReceivedCodeword(2, 2, 5, 0b1)) == []
+    assert peel_insert(state, ReceivedCodeword(3, 2, 0, 0)) == []
     assert state.resolved == {1: 5}
 
 
 def test_peel_inconsistent_resolution_raises():
     state = PeelingState(2)
-    peel_insert(state, ReceivedCodeword(1, 2, 5, {1}))
+    peel_insert(state, ReceivedCodeword(1, 2, 5, 0b1))
     with pytest.raises(DataCorruptionError):
-        peel_insert(state, ReceivedCodeword(2, 2, 7, {1}))
+        peel_insert(state, ReceivedCodeword(2, 2, 7, 0b1))
 
 
 def test_peel_path_length_mismatch():
     state = PeelingState(2)
     with pytest.raises(RangeError):
-        peel_insert(state, ReceivedCodeword(1, 3, 5, {1}))
+        peel_insert(state, ReceivedCodeword(1, 3, 5, 0b1))
 
 
 def test_decode_stream_single_message():
-    cws = [ReceivedCodeword(1, 1, 0x42, {1})]
+    cws = [ReceivedCodeword(1, 1, 0x42, 0b1)]
     result = decode_stream(iter(cws), 1)
     assert result.complete and result.used == 1
     assert result.resolved == {1: 0x42}
@@ -245,16 +250,16 @@ def test_decode_stream_single_message():
 def test_decode_stream_counts_useless_codewords():
     a, b = 0x5, 0x9
     cws = [
-        ReceivedCodeword(1, 2, a, {1}),
-        ReceivedCodeword(2, 2, a, {1}),  # duplicate still consumed
-        ReceivedCodeword(3, 2, b, {2}),
+        ReceivedCodeword(1, 2, a, 0b1),
+        ReceivedCodeword(2, 2, a, 0b1),  # duplicate still consumed
+        ReceivedCodeword(3, 2, b, 0b10),
     ]
     result = decode_stream(iter(cws), 2)
     assert result.complete and result.used == 3
 
 
 def test_decode_stream_incomplete_signal():
-    cws = [ReceivedCodeword(1, 3, 0x1, {1})]
+    cws = [ReceivedCodeword(1, 3, 0x1, 0b1)]
     result = decode_stream(iter(cws), 3)
     assert not result.complete
     assert result.resolved == {1: 0x1}
@@ -262,7 +267,7 @@ def test_decode_stream_incomplete_signal():
 
 
 def test_decode_stream_respects_limit():
-    cws = [ReceivedCodeword(n, 2, 0x5, {1}) for n in range(10)]
+    cws = [ReceivedCodeword(n, 2, 0x5, 0b1) for n in range(10)]
     result = decode_stream(iter(cws), 2, limit=4)
     assert not result.complete and result.used == 4
 
@@ -273,7 +278,7 @@ def test_decode_stream_takes_at_most_limit_codewords():
     def stream(hops):
         for n, hop in enumerate(hops):
             taken.append(n)
-            yield ReceivedCodeword(n, 2, 0x5 + hop, {hop})
+            yield ReceivedCodeword(n, 2, 0x5 + hop, 1 << (hop - 1))
 
     for limit in (0, 1, 4):
         taken.clear()

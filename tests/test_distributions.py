@@ -12,7 +12,7 @@ from recipe.distributions import (
     shifted_soliton,
     shifted_soliton_sequence,
 )
-from recipe.errors import InvariantExpansionError, RangeError
+from recipe.errors import RangeError
 from recipe.feasibility import check_feasible
 from recipe.xdd import Xdd, validate_xdd
 
@@ -69,7 +69,8 @@ def test_robust_soliton_matches_independent_table():
 
 def test_robust_soliton_always_valid():
     for k in list(range(1, 24)) + [59, 118, 236]:
-        assert validate_xdd(robust_soliton(k)) == []
+        xdd = robust_soliton(k)
+        assert validate_xdd((xdd.k, xdd.mass)) == []
 
 
 def test_robust_soliton_param_errors():
@@ -111,7 +112,7 @@ def test_pint_sequence_always_valid():
         params = PintParams(float(rng.uniform(0, 1)), float(rng.uniform(0.01, 0.99)))
         seq = pint_sequence(12, params)
         for xdd in seq.xdds:
-            assert validate_xdd(xdd) == []
+            assert validate_xdd((xdd.k, xdd.mass)) == []
 
 
 def test_pint_matches_exact_mixture_conditioned():
@@ -156,12 +157,6 @@ def test_expand_invariant_clamps_tiny_negative_tail():
     mass = np.array([0.6, 0.4 + 2e-13, 0.0, 0.0])
     seq = expand_invariant(Xdd(4, mass))
     assert seq.xdd(3).mass[2] == 0.0
-
-
-def test_expand_invariant_negative_tail_error():
-    mass = np.array([0.6, 0.4 + 2e-13, 0.0, 0.0])
-    with pytest.raises(InvariantExpansionError):
-        expand_invariant(Xdd(4, mass), tol=1e-14)
 
 
 def test_expand_of_chain_feasible_point_is_feasible():

@@ -144,7 +144,7 @@ def test_recipe_t_single_row_table_caps_out():
 
 def test_compare_t_vs_d_and_gap():
     seq = shifted_soliton_sequence(6)
-    curves = compare_t_vs_d(seq, 6, L_values=[40, 4000], trials=400, seed=5, ks=[2, 4, 6])
+    curves = compare_t_vs_d(seq, L_values=[40, 4000], trials=400, seed=5, ks=[2, 4, 6])
     assert set(curves) == {"recipe-d", "recipe-t:L=40", "recipe-t:L=4000"}
     gap_small = mean_curve_gap(curves["recipe-t:L=40"], curves["recipe-d"])
     gap_big = mean_curve_gap(curves["recipe-t:L=4000"], curves["recipe-d"])

@@ -13,6 +13,7 @@ from recipe.xdd import (
     XddSequence,
     binomial_log,
     mu_to_q,
+    q_from_mu,
     read_sequence,
     sequence_from_json,
     sequence_from_masses,
@@ -107,6 +108,15 @@ def test_q_times_binomial_recovers_mu(xdd):
         q = mu_to_q(xdd, d)
         c = math.exp(binomial_log(xdd.k, d))
         assert abs(q * c - xdd.mu(d)) <= 1e-12
+
+
+def test_q_from_mu_both_branches():
+    # Exact division while C(n, d) fits a double, log space beyond it (C(236,
+    # 118) ~ 1e69); a zero mass is a zero q on both.
+    assert q_from_mu(0.5, 4, 2) == 0.5 / 6
+    exact = Fraction(0.5) / math.comb(236, 118)
+    assert abs(Fraction(q_from_mu(0.5, 236, 118)) / exact - 1) < 1e-12
+    assert q_from_mu(0.0, 4, 2) == q_from_mu(0.0, 236, 118) == 0.0
 
 
 def test_sequence_validation():
