@@ -158,14 +158,22 @@ def test_decode_stream_cli(tmp_path, capsys):
     assert doc["resolved"] == {"1": 0x101, "2": 0x202, "3": 0x303}
 
 
-def test_decode_mode_is_a_usage_error(tmp_path, capsys):
+def _assert_decode_mode_is_a_usage_error(tmp_path, capsys, modes):
     # The artifact flag names the protocol; there is no second way to say it.
     ss, stream = _recipe_d_stream(tmp_path, capsys)
-    for mode in ("recipe-d", "pint", "x"):
+    for mode in modes:
         code, out, err = run_cli(capsys, "decode", "--seq", str(ss), "--mode", mode,
                                  "--k", "3", "--in", str(stream), "--seed", "5")
         assert code == 1, mode
         assert out == "" and "unrecognized arguments: --mode" in err
+
+
+def test_decode_mode_agreeing_with_artifacts_is_a_usage_error(tmp_path, capsys):
+    _assert_decode_mode_is_a_usage_error(tmp_path, capsys, ("recipe-d",))
+
+
+def test_decode_mode_disagreeing_with_artifacts_is_a_usage_error(tmp_path, capsys):
+    _assert_decode_mode_is_a_usage_error(tmp_path, capsys, ("pint", "x"))
 
 
 def test_path_length_outside_1_to_K_is_one_error_line(tmp_path, capsys):
