@@ -31,10 +31,13 @@ from .protocol import (
     REPLACE,
     Avst,
     GlobalHash,
+    _top53,
     hash_uniform_array,
+    hop_keys,
     masks_from_members,
     pint_actions,
     recipe_d_actions,
+    recipe_d_thresholds,
     row_select,
     row_select_array,
     xor_members,
@@ -50,9 +53,11 @@ from .protocol import (
 #     the evaluation runs, from which `xor_members` reads XOR-sets,
 #     codeword values and degrees;
 #   replay(packet_id, k) -> int, one packet's XOR-set as a bitmask: the
-#     destination's replay.  For a single packet the batch kernel's numpy
-#     calls per hop cost 10-100 times this scalar walk; for thousands of
-#     packets the walk costs about 10 times the kernel.
+#     destination's replay.  Measured for recipe-d at K=59 (2-CPU host,
+#     best of 3): one packet costs 10 us by replay at k=10 and 15 us at
+#     k=59, but 0.18 and 1.1 ms by the kernel, whose numpy calls per hop
+#     carry a fixed cost; on blocks of 4000 packets the kernel costs 0.12
+#     and 0.75 us a packet, 80 and 20 times less than replay.
 
 
 class _Protocol:
@@ -81,32 +86,28 @@ class RecipeDScheme(_Protocol):
     """Degree-based protocol: every switch applies the APA entry for the
     packet's hop and current degree, drawn by nu = h(hop, packet).
 
-    Construction flattens the APA into per-hop Python-float thresholds for
-    replay: for hop i, p_add and p_add + p_replace indexed by incoming
-    degree, with hop 1's fixed (0, 0, 1) row at degree 0 and NaN where the
-    APA marks a state unreachable.
+    Construction builds the walk's integer threshold tables
+    (`recipe_d_thresholds`) once: the batch kernel reads them as arrays,
+    replay as Python ints, each hop's with its bit and hash key.
     """
 
     apa: Apa
     seed: int = 0
     label: str = "recipe-d"
     gh: GlobalHash = field(init=False, repr=False, compare=False)
-    _hops: np.ndarray = field(init=False, repr=False, compare=False)
-    _bits: list = field(init=False, repr=False, compare=False)
-    _p_add: list = field(init=False, repr=False, compare=False)
-    _p_add_rep: list = field(init=False, repr=False, compare=False)
+    _tables: tuple = field(init=False, repr=False, compare=False)
+    _keys: np.ndarray = field(init=False, repr=False, compare=False)
+    _walk: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._set_key()
-        K = self.apa.K
-        p_add, p_add_rep = [[0.0]], [[1.0]]
-        for triples in self.apa.triples[1:]:
-            p_add.append([np.nan] + triples[:, 0].tolist())
-            p_add_rep.append([np.nan] + (triples[:, 0] + triples[:, 2]).tolist())
-        object.__setattr__(self, "_hops", np.arange(1, K + 1, dtype=np.uint64))
-        object.__setattr__(self, "_bits", [1 << (i - 1) for i in range(1, K + 1)])
-        object.__setattr__(self, "_p_add", p_add)
-        object.__setattr__(self, "_p_add_rep", p_add_rep)
+        tables = recipe_d_thresholds(self.apa)
+        add, add_rep, _ = tables
+        object.__setattr__(self, "_tables", tables)
+        object.__setattr__(self, "_keys",
+                           hop_keys(self.gh, np.arange(1, self.K + 1, dtype=np.uint64)))
+        object.__setattr__(self, "_walk", [(1 << h, a.tolist(), r.tolist())
+                                           for h, (a, r) in enumerate(zip(add, add_rep))])
 
     @property
     def K(self) -> int:
@@ -114,24 +115,23 @@ class RecipeDScheme(_Protocol):
 
     def actions(self, k: int, pids: np.ndarray) -> np.ndarray:
         self._check_length(k)
-        return recipe_d_actions(self.apa, self.gh, k, pids)
+        return recipe_d_actions(self._tables, self.gh, k, pids)
 
     def replay(self, packet_id: int, k: int) -> int:
         """The degree walk of `step_recipe_d` over hops 1..k of one packet,
-        with every hop's draw hashed in one call."""
+        with every hop's draw hashed in one pass over the hop keys."""
         self._check_length(k)
-        nus = hash_uniform_array(self.gh, self._hops[:k], packet_id & _MASK64)
+        ys = _top53(self._keys[:k] ^ np.uint64(packet_id & _MASK64)).tolist()
         mask, d = 0, 0
-        for bit, nu, p_add, p_add_rep in zip(self._bits, nus.tolist(),
-                                             self._p_add, self._p_add_rep):
-            threshold = p_add[d]
-            if nu < threshold:
+        for y, (bit, add, add_rep) in zip(ys, self._walk):
+            threshold = add[d]
+            if y < threshold:
                 mask |= bit
                 d += 1
-            elif nu < p_add_rep[d]:
+            elif y < add_rep[d]:
                 mask = bit
                 d = 1
-            elif threshold != threshold:  # NaN: both comparisons were false
+            elif threshold < 0:  # unreachable: both comparisons were false
                 raise ProtocolError(
                     f"unreachable APA entry consulted at (i={bit.bit_length()}, d={d})")
         return mask

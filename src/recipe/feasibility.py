@@ -294,12 +294,9 @@ def _collect_mass(states: dict[int, float], i: int) -> np.ndarray:
 def apa_to_json(apa: Apa) -> str:
     hops = []
     for arr in apa.triples:
-        rows = []
-        for row in arr:
-            if np.isnan(row[0]):
-                rows.append("null")
-            else:
-                rows.append("[" + ", ".join(format(v, ".17g") for v in row) + "]")
+        rows = ["null" if math.isnan(p_add) else
+                "[%.17g, %.17g, %.17g]" % (p_add, p_skip, p_rep)
+                for p_add, p_skip, p_rep in arr.tolist()]
         hops.append("[" + ", ".join(rows) + "]")
     body = ",\n    ".join(hops)
     return '{\n  "K": %d,\n  "p": [\n    %s\n  ]\n}\n' % (apa.K, body)

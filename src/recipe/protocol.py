@@ -95,17 +95,40 @@ def hash_uniform_array(gh: GlobalHash, hop, packet_ids) -> np.ndarray:
     operands are arrays, whose integer arithmetic wraps mod 2^64 without a
     warning.
     """
+    return _top53(np.asarray(packet_ids, dtype=np.uint64) ^ hop_keys(gh, hop)) * 2.0**-53
+
+
+def hop_keys(gh: GlobalHash, hop) -> np.ndarray:
+    """seed XOR hop*golden, the word a packet id is XORed with at `hop`
+    (an int or a uint64 array of hops) before the finalizer."""
     if isinstance(hop, np.ndarray):
-        key = np.uint64(gh.seed) ^ (hop * _U64_GOLDEN)
-    else:
-        key = np.uint64(gh.seed ^ ((hop * _GOLDEN) & _MASK64))
-    x = np.asarray(packet_ids, dtype=np.uint64) ^ key
-    x ^= x >> _U64_30
-    x *= _U64_MIX1
-    x ^= x >> _U64_27
-    x *= _U64_MIX2
-    x ^= x >> _U64_31
-    return (x >> _U64_11) * 2.0**-53
+        return np.uint64(gh.seed) ^ (hop * _U64_GOLDEN)
+    return np.uint64(gh.seed ^ ((hop * _GOLDEN) & _MASK64))
+
+
+def _top53(x: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
+    """The 64-bit finalizer of `_mix64`, in place on the uint64 array x,
+    keeping the top 53 bits: the integer y that hash_uniform scales by
+    2^-53.  tmp, scratch of x's shape, saves allocating one per call."""
+    if tmp is None:
+        tmp = np.empty_like(x)
+    for shift, mul in ((_U64_30, _U64_MIX1), (_U64_27, _U64_MIX2)):
+        np.right_shift(x, shift, out=tmp)
+        x ^= tmp
+        x *= mul
+    np.right_shift(x, _U64_31, out=tmp)
+    x ^= tmp
+    x >>= _U64_11
+    return x
+
+
+def thresholds53(p: np.ndarray) -> np.ndarray:
+    """The integer form of the compare u < p for a hashed u = y * 2^-53:
+    u < p exactly when y < ceil(p * 2^53), since scaling by 2^53 is exact
+    and y is an integer.  int64, with -1 (below every y) where p is NaN."""
+    t = np.ceil(np.asarray(p, dtype=float) * 2.0**53)
+    t[np.isnan(t)] = -1
+    return t.astype(np.int64)
 
 
 def row_select(gh: GlobalHash, packet_id: int, L: int) -> int:
@@ -178,28 +201,64 @@ def step_recipe_d(pkt: Packet, my_id: int, apa: Apa, gh: GlobalHash) -> Packet:
     )
 
 
-def recipe_d_actions(apa: Apa, gh: GlobalHash, k: int, pids: np.ndarray) -> np.ndarray:
+def recipe_d_thresholds(apa: Apa) -> tuple[list[np.ndarray], list[np.ndarray], frozenset]:
+    """The degree-based walk's per-hop integer thresholds (`thresholds53`):
+    for each hop i, p_add and p_add + p_replace by incoming degree
+    0..i-1, the same floats `step_recipe_d` compares.  Hop 1 holds its
+    fixed (0, 0, 1) row at degree 0; degree 0 of later hops and the APA's
+    unreachable rows hold -1.  The third item is the set of hops that have
+    an unreachable row."""
+    add, add_rep, gaps = [], [], set()
+    for i, triples in enumerate(apa.triples, 1):
+        # Only hop 1 is entered at degree 0; later hops get a NaN row there.
+        rows = triples if i == 1 else np.vstack([np.full(3, np.nan), triples])
+        add.append(thresholds53(rows[:, 0]))
+        add_rep.append(thresholds53(rows[:, 0] + rows[:, 2]))
+        if np.isnan(triples[:, 0]).any():
+            gaps.add(i)
+    return add, add_rep, frozenset(gaps)
+
+
+def recipe_d_actions(tables, gh: GlobalHash, k: int, pids: np.ndarray) -> np.ndarray:
     """The action each of hops 1..k takes on each packet id, uint8[n, k].
 
-    The degree-based walk of `step_recipe_d`, vectorized over packets:
-    every hop draws nu = h(hop, packet) and applies the APA entry for the
-    packet's current degree.  Raises ProtocolError if a packet reaches a
-    state the APA marks unreachable.  Needs k <= apa.K.
+    The degree-based walk of `step_recipe_d`, vectorized over packets in
+    the hash's integer domain: every hop draws y = h(hop, packet) * 2^53
+    and compares it with the `recipe_d_thresholds` tables at the packet's
+    current degree.  Raises ProtocolError if a packet reaches a state the
+    APA marks unreachable.  Needs k at most the tables' diameter.
     """
-    actions = np.empty((pids.size, k), dtype=np.uint8)
-    actions[:, 0] = REPLACE  # the APA's fixed hop-1 row (0, 0, 1)
-    degrees = np.ones(pids.size, dtype=np.int64)
+    add_t, add_rep_t, gaps = tables
+    pids = np.asarray(pids, dtype=np.uint64)
+    n = pids.size
+    keys = hop_keys(gh, np.arange(1, k + 1, dtype=np.uint64))
+    actions = np.empty((k, n), dtype=np.uint8)  # hop-major, transposed on return
+    actions[0] = REPLACE  # the APA's fixed hop-1 row (0, 0, 1)
+    degrees = np.ones(n, dtype=np.intp)
+    x, tmp = np.empty(n, dtype=np.uint64), np.empty(n, dtype=np.uint64)
+    y = x.view(np.int64)  # y < 2^53, so the signed view has the same value
+    threshold = np.empty(n, dtype=np.int64)
+    add, rep = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+    # Degrees stay within 1..i-1, inside hop i's tables, so take's "wrap"
+    # never wraps; it is only cheaper than the default bounds check.
     for i in range(2, k + 1):
-        triples = apa.triples[i - 1]
-        p_add = triples[:, 0][degrees - 1]
-        if np.isnan(p_add).any():
+        np.bitwise_xor(pids, keys[i - 1], out=x)
+        _top53(x, tmp)
+        np.take(add_t[i - 1], degrees, out=threshold, mode="wrap")
+        if i in gaps and threshold.min() < 0:
             raise ProtocolError(f"sampled an unreachable state at hop {i}")
-        nu = hash_uniform_array(gh, i, pids)
-        add = nu < p_add
-        rep = ~add & (nu < p_add + triples[:, 2][degrees - 1])
-        actions[:, i - 1] = np.where(add, ADD, np.where(rep, REPLACE, SKIP))
-        degrees = np.where(add, degrees + 1, np.where(rep, 1, degrees))
-    return actions
+        np.less(y, threshold, out=add)
+        np.take(add_rep_t[i - 1], degrees, out=threshold, mode="wrap")
+        np.less(y, threshold, out=rep)
+        # add implies rep (p_add <= p_add + p_replace), so 2 rep - add is
+        # ADD, REPLACE or SKIP, and rep ^ add marks the Replace hops.
+        action = actions[i - 1]
+        np.add(rep, rep, out=action, dtype=np.uint8)
+        action -= add
+        degrees += add
+        rep ^= add
+        np.putmask(degrees, rep, 1)
+    return np.ascontiguousarray(actions.T)
 
 
 def pint_actions(alpha: float, p: float, gh: GlobalHash, k: int,
@@ -291,7 +350,8 @@ def generate_avst(apa: Apa, L: int, seed: int) -> Avst:
     on a full-diameter path under key `seed`; rows are therefore bit-exactly
     reproducible from (apa, L, seed).
     """
-    rows = recipe_d_actions(apa, GlobalHash(seed), apa.K, np.arange(L, dtype=np.uint64))
+    rows = recipe_d_actions(recipe_d_thresholds(apa), GlobalHash(seed), apa.K,
+                            np.arange(L, dtype=np.uint64))
     return Avst(L, apa.K, rows, seed & _MASK64, apa.digest())
 
 

@@ -1,7 +1,8 @@
 """Fixed-seed outputs pinned by SHA-256 digest.
 
 The encoders may be restructured freely, but for a fixed seed these bytes
-must not move: curve CSVs (degree-based at the paper's K=59, table-based
+must not move: the APA files derived from Shifted Soliton at K=59 and 70,
+curve CSVs (degree-based at the paper's K=59, table-based
 and PINT across the 64-hop word boundary), an action table file, the
 XOR-set masks of every scheme at k = 64 and 65 (as generated and as
 replayed at the destination), PINT trials at K=118, a backward (HRS)
@@ -29,6 +30,10 @@ from recipe.search import (_objective_and_grad, hrs_search, mean_field_objective
                            project_invariant_polytope, qps_search, random_feasible_sequence)
 from recipe.xdd import sequence_to_json
 
+APA_SHA = {
+    59: "6d5869ebf1613ac9b7c27765a1c241b68d717cba23f9c6eae3dc20e6d4d4f28a",
+    70: "bcc051f87506fc822a80e0a991fcc558bf6838e3a81623435ee2297acc7d6195",
+}
 AVST_SHA = "62ce0ba47825baa17459f00436835b72f338a13c1b06f1ebef9ffced9fa5f32c"
 CSV_SHA = {
     "recipe-d": "9d8172bdad5b144691ac1fbced5048da5923ea4ca00952f205d8f6a3b13230d8",
@@ -73,6 +78,11 @@ def artifacts(tmp_path_factory):
         _cli("derive-apa", d / f"ss{K}.json", "-o", d / f"apa{K}.json")
     _cli("gen-avst", "--apa", d / "apa70.json", "--L", 1000, "--seed", 7, "-o", d / "t70.avst")
     return d
+
+
+@pytest.mark.parametrize("K", sorted(APA_SHA))
+def test_derive_apa_bytes_pinned(artifacts, K):
+    assert _sha((artifacts / f"apa{K}.json").read_bytes()) == APA_SHA[K]
 
 
 def test_gen_avst_bytes_pinned(artifacts):

@@ -14,7 +14,7 @@ from recipe.decoder import (
     replay_xor_mask,
     replay_xor_set,
 )
-from recipe.distributions import PintParams, shifted_soliton_sequence
+from recipe.distributions import PintParams, expand_invariant, shifted_soliton_sequence
 from recipe.errors import ConfigurationError, DataCorruptionError, ProtocolError, RangeError
 from recipe.evaluation import (
     PintScheme,
@@ -24,6 +24,7 @@ from recipe.evaluation import (
     _draw_switch_ids,
 )
 from recipe.feasibility import Apa, derive_apa
+from recipe.xdd import Xdd
 from recipe.protocol import (
     ADD,
     REPLACE,
@@ -78,14 +79,28 @@ def _fold(step, table, gh, packet_id, switch_ids):
     return pkt.codeword
 
 
-@pytest.mark.parametrize("k", [8, 64, 65, 118, 236])
-def test_replay_matches_bulk_generators_all_modes(k):
+def _capped_soliton_sequence(K: int, cap: int = 12):
+    """The invariant sequence of Soliton masses 1/(d(d+1)) cut off above
+    degree `cap` and renormalized.  mu_{i-1}(d) is 0 for cap < d < i - 1,
+    so its APA has NaN rows at every later hop, and no packet reaches one."""
+    d = np.arange(1, cap + 1)
+    mass = np.zeros(K)
+    mass[:cap] = 1.0 / (d * (d + 1))
+    return expand_invariant(Xdd(K, mass / mass.sum()))
+
+
+@pytest.mark.parametrize("k, capped", [(8, False), (64, False), (65, False), (118, False),
+                                       (236, False), (65, True), (118, True)],
+                         ids=["8", "64", "65", "118", "236", "65-capped", "118-capped"])
+def test_replay_matches_bulk_generators_all_modes(k, capped):
     # The vectorized action kernels against the normative scalar code, on
     # both sides of the 64-hop word boundary and at the fragmented-ID
-    # diameter 236.  Folding the per-switch steps with switch ID 1 << (i-1)
-    # makes the delivered codeword the XOR-set mask itself; random 32-bit
-    # IDs check the codeword values the evaluation derives.
-    apa = derive_apa(shifted_soliton_sequence(k))
+    # diameter 236, and on APAs with unreachable (NaN) rows.  Folding the
+    # per-switch steps with switch ID 1 << (i-1) makes the delivered
+    # codeword the XOR-set mask itself; random 32-bit IDs check the
+    # codeword values the evaluation derives.
+    apa = derive_apa(_capped_soliton_sequence(k) if capped else shifted_soliton_sequence(k))
+    assert np.isnan(apa.triples[-1][:, 0]).any() == capped
     rng = np.random.default_rng(k)
     pids = rng.integers(0, 2**64, size=max(100, 16000 // k), dtype=np.uint64)
     switch_ids = _draw_switch_ids(rng, k)
@@ -176,10 +191,26 @@ def test_replay_raises_on_unreachable_apa_entry():
     apa = Apa(3, ([[0.0, 0.0, 1.0]], [[1.0, 0.0, 0.0]],
                   [[0.0, 1.0, 0.0], [nan, nan, nan]]))
     scheme = RecipeDScheme(apa)
-    for pid in (0, 7, 2**64 - 1):
+    pids = np.array([0, 7, 2**64 - 1], dtype=np.uint64)
+    for pid in pids.tolist():
         assert replay_xor_mask(pid, 2, scheme) == 0b11
         with pytest.raises(ProtocolError):
             replay_xor_mask(pid, 3, scheme)
+    # The batch kernel checks the same states.
+    assert scheme.actions(2, pids).tolist() == [[REPLACE, ADD]] * 3
+    with pytest.raises(ProtocolError):
+        scheme.actions(3, pids)
+    with pytest.raises(ProtocolError):
+        generate_avst(apa, 16, seed=5)
+    # A NaN row that no packet reaches raises nothing: hop 2 always skips,
+    # so hop 3 is entered at degree 1 only.
+    unreached = Apa(3, ([[0.0, 0.0, 1.0]], [[0.0, 1.0, 0.0]],
+                        [[0.0, 1.0, 0.0], [nan, nan, nan]]))
+    scheme = RecipeDScheme(unreached)
+    assert scheme.actions(3, pids).tolist() == [[REPLACE, SKIP, SKIP]] * 3
+    assert generate_avst(unreached, 16, seed=5).rows.tolist() == [[REPLACE, SKIP, SKIP]] * 16
+    for pid in pids.tolist():
+        assert replay_xor_mask(pid, 3, scheme) == 0b1
 
 
 def test_replay_takes_packet_ids_mod_2_64():

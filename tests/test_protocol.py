@@ -1,7 +1,10 @@
+import math
 from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from recipe.distributions import shifted_soliton_sequence
 from recipe.errors import ConfigurationError, ProtocolError, RangeError
@@ -24,6 +27,7 @@ from recipe.protocol import (
     row_select_array,
     step_recipe_d,
     step_recipe_t,
+    thresholds53,
     write_avst,
 )
 
@@ -53,6 +57,31 @@ def test_hash_uniform_scalar_matches_vectorized():
     block = hash_uniform_array(gh, hops[:4], np.broadcast_to(ids[:3, None], (3, 4)))
     assert block.tolist() == [[hash_uniform(gh, int(h), int(i)) for h in hops[:4]]
                               for i in ids[:3]]
+
+
+_P_MAX = 1.0 + 2.0**-20  # past 1, where APA rows summing to 1 within tolerance reach
+_MULTIPLES = st.integers(0, 2**53 + 2**33).map(lambda m: m * 2.0**-53)
+
+
+@given(st.one_of(
+    st.sampled_from([0.0, 1.0, _P_MAX]),
+    st.floats(0.0, _P_MAX),
+    _MULTIPLES,
+    _MULTIPLES.map(lambda p: math.nextafter(p, math.inf)),
+    _MULTIPLES.map(lambda p: math.nextafter(p, -math.inf)),
+).filter(lambda p: 0.0 <= p <= _P_MAX))
+def test_threshold_rule_is_exact(p):
+    # A hashed draw is u = y * 2^-53 for an integer y in [0, 2^53); the
+    # kernels compare y with C = thresholds53(p) instead of u with p.  The
+    # two compares can only disagree next to C.
+    C = int(thresholds53(np.array([p]))[0])
+    for y in (C - 1, C, C + 1):
+        if 0 <= y < 2**53:
+            assert (y * 2.0**-53 < p) == (y < C)
+
+
+def test_thresholds53_marks_nan_below_every_draw():
+    assert thresholds53(np.array([np.nan, 0.0, 1.0])).tolist() == [-1, 0, 2**53]
 
 
 _PINT_GH = GlobalHash(0x5EED)
