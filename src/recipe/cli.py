@@ -41,9 +41,6 @@ from .errors import (
     SequenceValidationError,
 )
 from .evaluation import (
-    PintScheme,
-    RecipeDScheme,
-    RecipeTScheme,
     _draw_switch_ids,
     curves_to_csv,
     default_threads,
@@ -55,6 +52,9 @@ from .protocol import (
     ACTION_NAMES,
     ADD,
     REPLACE,
+    PintScheme,
+    RecipeDScheme,
+    RecipeTScheme,
     _apply_action,
     generate_avst,
     hash_uniform,
@@ -83,11 +83,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
         raise SystemExit(EXIT_USAGE)
-
-
-def _default_seed() -> int:
-    env = os.environ.get("RECIPE_SEED")
-    return int(env) if env else 0
 
 
 def _write_manifest(out_path: str, args, inputs: list[str]) -> None:
@@ -223,7 +218,11 @@ def _cmd_decode(args) -> int:
             for line in fh:
                 if line.strip():
                     doc = json.loads(line)
-                    yield int(doc["packet_id"]), int(doc["codeword"])
+                    pid, value = doc["packet_id"], doc["codeword"]
+                    if type(pid) is not int or type(value) is not int:  # bool is an int
+                        raise TypeError("packet_id and codeword must be JSON integers, "
+                                        f"got {pid!r} and {value!r}")
+                    yield pid, value
 
     stream = (ReceivedCodeword(pid, args.k, value, replay_xor_mask(pid, args.k, scheme))
               for pid, value in lines())
@@ -267,11 +266,8 @@ def _cmd_evaluate(args) -> int:
     scheme = _scheme_from_args(args, args.K)
     if args.label:
         scheme = dataclasses.replace(scheme, label=args.label)
-    ks = None
-    if args.ks:
-        ks = sorted({int(x) for x in args.ks.split(",")})
     curve = efficiency_curve(scheme, args.K, args.trials, args.seed,
-                             ks=ks, threads=args.threads)
+                             ks=args.ks, threads=args.threads)
     _emit(args, curves_to_csv([curve]), [p for p in (args.seq, args.apa, args.avst) if p])
     return EXIT_OK
 
@@ -298,6 +294,15 @@ def _cmd_compare(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+
+
+def _path_lengths(text: str) -> list[int]:
+    """--ks: comma-separated path lengths, sorted, each once."""
+    try:
+        return sorted({int(x) for x in text.split(",")})
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of integers: {text!r}") from None
 
 
 @functools.cache
@@ -389,7 +394,8 @@ def _build_parser() -> _Parser:
     add_scheme_flags(p)
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--ks", help="comma-separated path lengths (default 1..K)")
+    p.add_argument("--ks", type=_path_lengths,
+                   help="comma-separated path lengths (default 1..K)")
     p.add_argument("--label")
     p.add_argument("-o", "--output")
     add_common(p, threads_help="worker processes, each running one path length")
@@ -410,8 +416,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_OK
     args.argv = sys.argv[1:] if argv is None else list(argv)
-    if "seed" in vars(args) and args.seed is None:
-        args.seed = _default_seed()
+    if "seed" in vars(args):
+        if args.seed is None:
+            env = os.environ.get("RECIPE_SEED")
+            try:
+                args.seed = int(env) if env else 0
+            except ValueError:
+                print(f"error: RECIPE_SEED must be an integer, got {env!r}", file=sys.stderr)
+                return EXIT_USAGE
+        args.seed %= 2**64  # as the keyed hash reads it; numpy's generators need it
     try:
         return args.func(args)
     except (InfeasibleSequenceError, SequenceValidationError) as exc:

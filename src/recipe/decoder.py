@@ -10,220 +10,24 @@ unknown member resolves that hop and cascades.
 XOR-sets are carried as integer bitmasks (bit h-1 set means hop h is in
 the set); `hops_from_mask` turns one into hop indices for display.
 
-The protocol classes live here too, one per protocol: the destination's
-replay and the evaluation's batch encoder are two methods of one object,
-so both always apply the same artifact under the same key.
+The per-hop rules replayed here are those of the protocol objects in
+`recipe.protocol`: `replay_xor_mask` calls one object's `replay`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 
-import numpy as np
-
-from .distributions import PintParams
-from .errors import ConfigurationError, DataCorruptionError, ProtocolError, RangeError
-from .feasibility import Apa
-from .protocol import (
-    _MASK64,
-    ADD,
-    REPLACE,
-    Avst,
-    GlobalHash,
-    _top53,
-    hash_uniform_array,
-    hop_keys,
-    masks_from_members,
-    pint_actions,
-    recipe_d_actions,
-    recipe_d_thresholds,
+from .errors import ConfigurationError, DataCorruptionError, RangeError
+# Unused here, but bench/ reads the protocol classes under these names on
+# this module, and bench/tracing.py patches row_select here.
+from .protocol import (  # noqa: F401
+    PintScheme as PintMode,
+    RecipeDScheme as RecipeDMode,
+    RecipeTScheme as RecipeTMode,
     row_select,
-    row_select_array,
-    xor_members,
 )
-
-# ---------------------------------------------------------------------------
-# Protocols: one frozen object each, holding the artifact (APA, table or
-# PINT parameters), the network key `gh`, a `label` and the diameter `K`.
-# `seed` takes the key as an int or a GlobalHash and is kept as the int.
-# Each object gives two views of the same per-hop rule:
-#   actions(k, pids) -> uint8[n, k], the Skip/Add/Replace code every hop of
-#     a length-k path applies to each of many packets: the batch encoder
-#     the evaluation runs, from which `xor_members` reads XOR-sets,
-#     codeword values and degrees;
-#   replay(packet_id, k) -> int, one packet's XOR-set as a bitmask: the
-#     destination's replay.  Measured for recipe-d at K=59 (2-CPU host,
-#     best of 3): one packet costs 10 us by replay at k=10 and 15 us at
-#     k=59, but 0.18 and 1.1 ms by the kernel, whose numpy calls per hop
-#     carry a fixed cost; on blocks of 4000 packets the kernel costs 0.12
-#     and 0.75 us a packet, 80 and 20 times less than replay.
-
-
-class _Protocol:
-    def _set_key(self) -> None:
-        gh = self.seed if isinstance(self.seed, GlobalHash) else GlobalHash(self.seed)
-        object.__setattr__(self, "seed", gh.seed)
-        object.__setattr__(self, "gh", gh)
-
-    def _check_length(self, k: int) -> None:
-        if k < 1:
-            raise RangeError(f"path length must be positive, got k={k}")
-        if k > self.K:
-            raise RangeError(f"path length {k} beyond diameter {self.K}")
-
-    def decode_mode(self):
-        """The destination's view, which is the object itself."""
-        return self
-
-    def generate_masks(self, k: int, pids: np.ndarray) -> list[int]:
-        """XOR-set bitmask (bit h-1 = hop h) of each packet's codeword."""
-        return masks_from_members(xor_members(self.actions(k, pids)))
-
-
-@dataclass(frozen=True)
-class RecipeDScheme(_Protocol):
-    """Degree-based protocol: every switch applies the APA entry for the
-    packet's hop and current degree, drawn by nu = h(hop, packet).
-
-    Construction builds the walk's integer threshold tables
-    (`recipe_d_thresholds`) once: the batch kernel reads them as arrays,
-    replay as Python ints, each hop's with its bit and hash key.
-    """
-
-    apa: Apa
-    seed: int = 0
-    label: str = "recipe-d"
-    gh: GlobalHash = field(init=False, repr=False, compare=False)
-    _tables: tuple = field(init=False, repr=False, compare=False)
-    _keys: np.ndarray = field(init=False, repr=False, compare=False)
-    _walk: list = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._set_key()
-        tables = recipe_d_thresholds(self.apa)
-        add, add_rep, _ = tables
-        object.__setattr__(self, "_tables", tables)
-        object.__setattr__(self, "_keys",
-                           hop_keys(self.gh, np.arange(1, self.K + 1, dtype=np.uint64)))
-        object.__setattr__(self, "_walk", [(1 << h, a.tolist(), r.tolist())
-                                           for h, (a, r) in enumerate(zip(add, add_rep))])
-
-    @property
-    def K(self) -> int:
-        return self.apa.K
-
-    def actions(self, k: int, pids: np.ndarray) -> np.ndarray:
-        self._check_length(k)
-        return recipe_d_actions(self._tables, self.gh, k, pids)
-
-    def replay(self, packet_id: int, k: int) -> int:
-        """The degree walk of `step_recipe_d` over hops 1..k of one packet,
-        with every hop's draw hashed in one pass over the hop keys."""
-        self._check_length(k)
-        ys = _top53(self._keys[:k] ^ np.uint64(packet_id & _MASK64)).tolist()
-        mask, d = 0, 0
-        for y, (bit, add, add_rep) in zip(ys, self._walk):
-            threshold = add[d]
-            if y < threshold:
-                mask |= bit
-                d += 1
-            elif y < add_rep[d]:
-                mask = bit
-                d = 1
-            elif threshold < 0:  # unreachable: both comparisons were false
-                raise ProtocolError(
-                    f"unreachable APA entry consulted at (i={bit.bit_length()}, d={d})")
-        return mask
-
-
-@dataclass(frozen=True)
-class RecipeTScheme(_Protocol):
-    """Table-based protocol: the same table at every switch, its row picked
-    per packet by the salt-separated hash.  The table is used as given:
-    nothing checks it against the APA it was sampled from."""
-
-    avst: Avst
-    seed: int = 0
-    label: str | None = None
-    gh: GlobalHash = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._set_key()
-        if self.label is None:
-            object.__setattr__(self, "label", f"recipe-t:L={self.avst.L}")
-
-    @property
-    def K(self) -> int:
-        return self.avst.K
-
-    def actions(self, k: int, pids: np.ndarray) -> np.ndarray:
-        self._check_length(k)
-        return self.avst.rows[row_select_array(self.gh, pids, self.avst.L), :k]
-
-    def replay(self, packet_id: int, k: int) -> int:
-        """Hops 1..k of the packet's table row: no per-hop draw."""
-        self._check_length(k)
-        row = self.avst.rows[row_select(self.gh, packet_id, self.avst.L), :k]
-        mask = 0
-        for h, action in enumerate(row.tolist()):
-            if action == ADD:
-                mask |= 1 << h
-            elif action == REPLACE:
-                mask = 1 << h
-        return mask
-
-
-@dataclass(frozen=True)
-class PintScheme(_Protocol):
-    """PINT baseline: with probability alpha the packet carries the
-    reservoir-sampled single hop, otherwise every hop XORs in with
-    probability p.  The binomial branch can deliver an empty codeword,
-    which counts like any delivered packet: a switch really did flip a
-    coin for it.  The protocol needs no diameter; K only bounds k."""
-
-    params: PintParams
-    seed: int = 0
-    K: int = 2**31
-    label: str | None = None
-    gh: GlobalHash = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._set_key()
-        if self.label is None:
-            object.__setattr__(
-                self, "label", f"pint:a={self.params.alpha:g};p={self.params.p:g}")
-
-    def actions(self, k: int, pids: np.ndarray) -> np.ndarray:
-        self._check_length(k)
-        return pint_actions(self.params.alpha, self.params.p, self.gh, k, pids)
-
-    def replay(self, packet_id: int, k: int) -> int:
-        """Hash the branch hop 0 and hops 1..k in one call.  Reservoir
-        branch: the last hop i with u_i < 1/i holds the slot (hop 1 always
-        qualifies).  Binomial branch: every hop with u_i < p, possibly none."""
-        self._check_length(k)
-        hops = np.arange(k + 1, dtype=np.uint64)
-        u = hash_uniform_array(self.gh, hops, packet_id & _MASK64)
-        if u[0] < self.params.alpha:
-            hits = _pack_bits(u[1:] < 1.0 / hops[1:])
-            return 1 << (hits.bit_length() - 1)
-        return _pack_bits(u[1:] < self.params.p)
-
-
-# The destination-side names of the same classes.
-RecipeDMode = RecipeDScheme
-RecipeTMode = RecipeTScheme
-PintMode = PintScheme
-
-
-def _pack_bits(flags: np.ndarray) -> int:
-    """A bool vector as an int bitmask, flags[h] -> bit h.
-
-    The one-row case of `masks_from_members`, without its word padding and
-    fold, which cost about ten times as much for a single row.
-    """
-    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
 def hops_from_mask(mask: int) -> frozenset[int]:

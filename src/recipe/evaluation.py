@@ -22,10 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoder import PeelingState, PintScheme, RecipeDScheme, RecipeTScheme
+from .decoder import PeelingState
 from .distributions import PintParams
 from .errors import InternalConsistencyError, RangeError
 from .feasibility import derive_apa
+from .protocol import PintScheme, RecipeDScheme, RecipeTScheme
 from .protocol import _mix64, masks_from_members, xor_members
 # Unused here, but bench/tracing.py patches these names on this module.
 from .protocol import hash_uniform_array, row_select_array  # noqa: F401
@@ -154,9 +155,13 @@ def efficiency_curve(scheme, K: int, trials: int, seed: int,
     Deterministic given (scheme, K, trials, seed) regardless of `threads`:
     every trial's randomness is derived from (seed, k, trial index).
     """
+    if K < 1:
+        raise RangeError(f"diameter must be positive, got K={K}")
     if trials < 1:
         raise RangeError("at least one trial per point is required")
     ks = list(ks) if ks is not None else list(range(1, K + 1))
+    for k in ks:  # refuse a bad k before any trial runs
+        scheme._check_length(k)
     points = map_jobs(_curve_point, [(scheme, k, trials, seed) for k in ks], threads)
     return EfficiencyCurve(scheme.label, K, tuple(points))
 

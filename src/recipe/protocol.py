@@ -1,4 +1,5 @@
-"""The stateless per-hop encoders and the shared keyed hash.
+"""The stateless per-hop encoders, the protocol objects and the shared
+keyed hash.
 
 Two encoders realize a feasible code:
 
@@ -13,15 +14,20 @@ Both are driven by a network-wide keyed hash so that the destination can
 replay every decision from the packet alone.  The hash is pinned bit-exactly
 (a SplitMix64-style finalizer) because decoding correctness depends on every
 box computing identical values.
+
+Each protocol's rules live here once: beside the normative per-switch
+steps, one object per protocol holds its artifact and key and gives the
+rule's two fast views, the batch encoder and the destination's replay.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .distributions import PintParams
 from .errors import ConfigurationError, ProtocolError, RangeError
 from .feasibility import Apa
 from .xdd import _atomic_write_bytes
@@ -45,7 +51,7 @@ ACTION_NAMES = {SKIP: "skip", ADD: "add", REPLACE: "replace"}
 # mixture), hops >= 1 carry per-switch decisions.
 PINT_BRANCH_HOP = 0
 
-# Packet x hop cells that pint_actions hashes per call: enough to amortize
+# Packet x hop cells that PintScheme.actions hashes per call: enough to amortize
 # numpy's per-call cost, few enough that a slab's temporaries stay in cache.
 _SLAB_CELLS = 1 << 16
 
@@ -201,88 +207,249 @@ def step_recipe_d(pkt: Packet, my_id: int, apa: Apa, gh: GlobalHash) -> Packet:
     )
 
 
-def recipe_d_thresholds(apa: Apa) -> tuple[list[np.ndarray], list[np.ndarray], frozenset]:
-    """The degree-based walk's per-hop integer thresholds (`thresholds53`):
-    for each hop i, p_add and p_add + p_replace by incoming degree
-    0..i-1, the same floats `step_recipe_d` compares.  Hop 1 holds its
-    fixed (0, 0, 1) row at degree 0; degree 0 of later hops and the APA's
-    unreachable rows hold -1.  The third item is the set of hops that have
-    an unreachable row."""
-    add, add_rep, gaps = [], [], set()
-    for i, triples in enumerate(apa.triples, 1):
-        # Only hop 1 is entered at degree 0; later hops get a NaN row there.
-        rows = triples if i == 1 else np.vstack([np.full(3, np.nan), triples])
-        add.append(thresholds53(rows[:, 0]))
-        add_rep.append(thresholds53(rows[:, 0] + rows[:, 2]))
-        if np.isnan(triples[:, 0]).any():
-            gaps.add(i)
-    return add, add_rep, frozenset(gaps)
+# ---------------------------------------------------------------------------
+# Protocols: one frozen object each, holding the artifact (APA, table or
+# PINT parameters), the network key `gh`, a `label` and the diameter `K`.
+# `seed` takes the key as an int or a GlobalHash and is kept as the int.
+# Each object gives two views of the same per-hop rule:
+#   actions(k, pids) -> uint8[n, k], the Skip/Add/Replace code every hop of
+#     a length-k path applies to each of many packets: the batch encoder
+#     the evaluation runs, from which `xor_members` reads XOR-sets,
+#     codeword values and degrees;
+#   replay(packet_id, k) -> int, one packet's XOR-set as a bitmask: the
+#     destination's replay.  Measured for recipe-d at K=59 (2-CPU host,
+#     best of 3): one packet costs 10 us by replay at k=10 and 15 us at
+#     k=59, but 0.18 and 1.1 ms by the kernel, whose numpy calls per hop
+#     carry a fixed cost; on blocks of 4000 packets the kernel costs 0.12
+#     and 0.75 us a packet, 80 and 20 times less than replay.
 
 
-def recipe_d_actions(tables, gh: GlobalHash, k: int, pids: np.ndarray) -> np.ndarray:
-    """The action each of hops 1..k takes on each packet id, uint8[n, k].
+class _Protocol:
+    def _set_key(self) -> None:
+        gh = self.seed if isinstance(self.seed, GlobalHash) else GlobalHash(self.seed)
+        object.__setattr__(self, "seed", gh.seed)
+        object.__setattr__(self, "gh", gh)
 
-    The degree-based walk of `step_recipe_d`, vectorized over packets in
-    the hash's integer domain: every hop draws y = h(hop, packet) * 2^53
-    and compares it with the `recipe_d_thresholds` tables at the packet's
-    current degree.  Raises ProtocolError if a packet reaches a state the
-    APA marks unreachable.  Needs k at most the tables' diameter.
+    def _check_length(self, k: int) -> None:
+        if k < 1:
+            raise RangeError(f"path length must be positive, got k={k}")
+        if k > self.K:
+            raise RangeError(f"path length {k} beyond diameter {self.K}")
+
+    def decode_mode(self):
+        """The destination's view, which is the object itself."""
+        return self
+
+    def generate_masks(self, k: int, pids: np.ndarray) -> list[int]:
+        """XOR-set bitmask (bit h-1 = hop h) of each packet's codeword."""
+        return masks_from_members(xor_members(self.actions(k, pids)))
+
+
+@dataclass(frozen=True)
+class RecipeDScheme(_Protocol):
+    """Degree-based protocol: every switch applies the APA entry for the
+    packet's hop and current degree, drawn by nu = h(hop, packet).
+
+    Construction builds the walk's per-hop integer thresholds
+    (`thresholds53`) once: for each hop i, p_add and p_add + p_replace by
+    incoming degree 0..i-1, the same floats `step_recipe_d` compares.  Hop
+    1 holds its fixed (0, 0, 1) row at degree 0; degree 0 of later hops
+    and the APA's unreachable rows hold -1.  The batch kernel reads the
+    tables as arrays, replay as Python ints, each hop's with its bit and
+    hash key.
     """
-    add_t, add_rep_t, gaps = tables
-    pids = np.asarray(pids, dtype=np.uint64)
-    n = pids.size
-    keys = hop_keys(gh, np.arange(1, k + 1, dtype=np.uint64))
-    actions = np.empty((k, n), dtype=np.uint8)  # hop-major, transposed on return
-    actions[0] = REPLACE  # the APA's fixed hop-1 row (0, 0, 1)
-    degrees = np.ones(n, dtype=np.intp)
-    x, tmp = np.empty(n, dtype=np.uint64), np.empty(n, dtype=np.uint64)
-    y = x.view(np.int64)  # y < 2^53, so the signed view has the same value
-    threshold = np.empty(n, dtype=np.int64)
-    add, rep = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
-    # Degrees stay within 1..i-1, inside hop i's tables, so take's "wrap"
-    # never wraps; it is only cheaper than the default bounds check.
-    for i in range(2, k + 1):
-        np.bitwise_xor(pids, keys[i - 1], out=x)
-        _top53(x, tmp)
-        np.take(add_t[i - 1], degrees, out=threshold, mode="wrap")
-        if i in gaps and threshold.min() < 0:
-            raise ProtocolError(f"sampled an unreachable state at hop {i}")
-        np.less(y, threshold, out=add)
-        np.take(add_rep_t[i - 1], degrees, out=threshold, mode="wrap")
-        np.less(y, threshold, out=rep)
-        # add implies rep (p_add <= p_add + p_replace), so 2 rep - add is
-        # ADD, REPLACE or SKIP, and rep ^ add marks the Replace hops.
-        action = actions[i - 1]
-        np.add(rep, rep, out=action, dtype=np.uint8)
-        action -= add
-        degrees += add
-        rep ^= add
-        np.putmask(degrees, rep, 1)
-    return np.ascontiguousarray(actions.T)
+
+    apa: Apa
+    seed: int = 0
+    label: str = "recipe-d"
+    gh: GlobalHash = field(init=False, repr=False, compare=False)
+    # (add, add_rep, the set of hops that have an unreachable row)
+    _tables: tuple = field(init=False, repr=False, compare=False)
+    _keys: np.ndarray = field(init=False, repr=False, compare=False)
+    _walk: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._set_key()
+        add, add_rep, gaps = [], [], set()
+        for i, triples in enumerate(self.apa.triples, 1):
+            # Only hop 1 is entered at degree 0; later hops get a NaN row there.
+            rows = triples if i == 1 else np.vstack([np.full(3, np.nan), triples])
+            add.append(thresholds53(rows[:, 0]))
+            add_rep.append(thresholds53(rows[:, 0] + rows[:, 2]))
+            if np.isnan(triples[:, 0]).any():
+                gaps.add(i)
+        object.__setattr__(self, "_tables", (add, add_rep, frozenset(gaps)))
+        object.__setattr__(self, "_keys",
+                           hop_keys(self.gh, np.arange(1, self.K + 1, dtype=np.uint64)))
+        object.__setattr__(self, "_walk", [(1 << h, a.tolist(), r.tolist())
+                                           for h, (a, r) in enumerate(zip(add, add_rep))])
+
+    @property
+    def K(self) -> int:
+        return self.apa.K
+
+    def actions(self, k: int, pids: np.ndarray) -> np.ndarray:
+        """The action each of hops 1..k takes on each packet id, uint8[n, k].
+
+        The degree-based walk of `step_recipe_d`, vectorized over packets
+        in the hash's integer domain: every hop draws y = h(hop, packet) *
+        2^53 and compares it with the threshold tables at the packet's
+        current degree.  Raises ProtocolError if a packet reaches a state
+        the APA marks unreachable.
+        """
+        self._check_length(k)
+        add_t, add_rep_t, gaps = self._tables
+        pids = np.asarray(pids, dtype=np.uint64)
+        n = pids.size
+        actions = np.empty((k, n), dtype=np.uint8)  # hop-major, transposed on return
+        actions[0] = REPLACE  # the APA's fixed hop-1 row (0, 0, 1)
+        degrees = np.ones(n, dtype=np.intp)
+        x, tmp = np.empty(n, dtype=np.uint64), np.empty(n, dtype=np.uint64)
+        y = x.view(np.int64)  # y < 2^53, so the signed view has the same value
+        threshold = np.empty(n, dtype=np.int64)
+        add, rep = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+        # Degrees stay within 1..i-1, inside hop i's tables, so take's "wrap"
+        # never wraps; it is only cheaper than the default bounds check.
+        for i in range(2, k + 1):
+            np.bitwise_xor(pids, self._keys[i - 1], out=x)
+            _top53(x, tmp)
+            np.take(add_t[i - 1], degrees, out=threshold, mode="wrap")
+            if i in gaps and threshold.min() < 0:
+                raise ProtocolError(f"sampled an unreachable state at hop {i}")
+            np.less(y, threshold, out=add)
+            np.take(add_rep_t[i - 1], degrees, out=threshold, mode="wrap")
+            np.less(y, threshold, out=rep)
+            # add implies rep (p_add <= p_add + p_replace), so 2 rep - add is
+            # ADD, REPLACE or SKIP, and rep ^ add marks the Replace hops.
+            action = actions[i - 1]
+            np.add(rep, rep, out=action, dtype=np.uint8)
+            action -= add
+            degrees += add
+            rep ^= add
+            np.putmask(degrees, rep, 1)
+        return np.ascontiguousarray(actions.T)
+
+    def replay(self, packet_id: int, k: int) -> int:
+        """The degree walk of `step_recipe_d` over hops 1..k of one packet,
+        with every hop's draw hashed in one pass over the hop keys."""
+        self._check_length(k)
+        ys = _top53(self._keys[:k] ^ np.uint64(packet_id & _MASK64)).tolist()
+        mask, d = 0, 0
+        for y, (bit, add, add_rep) in zip(ys, self._walk):
+            threshold = add[d]
+            if y < threshold:
+                mask |= bit
+                d += 1
+            elif y < add_rep[d]:
+                mask = bit
+                d = 1
+            elif threshold < 0:  # unreachable: both comparisons were false
+                raise ProtocolError(
+                    f"unreachable APA entry consulted at (i={bit.bit_length()}, d={d})")
+        return mask
 
 
-def pint_actions(alpha: float, p: float, gh: GlobalHash, k: int,
-                 pids: np.ndarray) -> np.ndarray:
-    """The PINT baseline's actions, uint8[n, k]: with probability alpha
-    (drawn at PINT_BRANCH_HOP) a packet takes the reservoir branch, where
-    hop i replaces with probability 1/i; otherwise hop i adds with
-    probability p.
+@dataclass(frozen=True)
+class RecipeTScheme(_Protocol):
+    """Table-based protocol: the same table at every switch, its row picked
+    per packet by the salt-separated hash.  The table is used as given:
+    nothing checks it against the APA it was sampled from."""
 
-    Hops 1..k of a slab of packets hash in one call, about _SLAB_CELLS
-    cells at a time, and each slab's actions are one compare against its
-    rows' thresholds times its rows' action codes."""
-    reservoir = hash_uniform_array(gh, PINT_BRANCH_HOP, pids) < alpha
-    hops = np.arange(1, k + 1, dtype=np.uint64)
-    inverse = 1.0 / hops
-    codes = np.where(reservoir, REPLACE, ADD).astype(np.uint8)
-    actions = np.empty((pids.size, k), dtype=np.uint8)
-    rows = max(1, _SLAB_CELLS // k)
-    for lo in range(0, pids.size, rows):
-        hi = min(lo + rows, pids.size)
-        u = hash_uniform_array(gh, hops, np.broadcast_to(pids[lo:hi, None], (hi - lo, k)))
-        hit = u < np.where(reservoir[lo:hi, None], inverse, p)
-        np.multiply(hit, codes[lo:hi, None], out=actions[lo:hi])
-    return actions
+    avst: Avst
+    seed: int = 0
+    label: str | None = None
+    gh: GlobalHash = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._set_key()
+        if self.label is None:
+            object.__setattr__(self, "label", f"recipe-t:L={self.avst.L}")
+
+    @property
+    def K(self) -> int:
+        return self.avst.K
+
+    def actions(self, k: int, pids: np.ndarray) -> np.ndarray:
+        self._check_length(k)
+        return self.avst.rows[row_select_array(self.gh, pids, self.avst.L), :k]
+
+    def replay(self, packet_id: int, k: int) -> int:
+        """Hops 1..k of the packet's table row: no per-hop draw."""
+        self._check_length(k)
+        row = self.avst.rows[row_select(self.gh, packet_id, self.avst.L), :k]
+        mask = 0
+        for h, action in enumerate(row.tolist()):
+            if action == ADD:
+                mask |= 1 << h
+            elif action == REPLACE:
+                mask = 1 << h
+        return mask
+
+
+@dataclass(frozen=True)
+class PintScheme(_Protocol):
+    """PINT baseline: with probability alpha the packet carries the
+    reservoir-sampled single hop, otherwise every hop XORs in with
+    probability p.  The binomial branch can deliver an empty codeword,
+    which counts like any delivered packet: a switch really did flip a
+    coin for it.  The protocol needs no diameter; K only bounds k."""
+
+    params: PintParams
+    seed: int = 0
+    K: int = 2**31
+    label: str | None = None
+    gh: GlobalHash = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._set_key()
+        if self.label is None:
+            object.__setattr__(
+                self, "label", f"pint:a={self.params.alpha:g};p={self.params.p:g}")
+
+    def actions(self, k: int, pids: np.ndarray) -> np.ndarray:
+        """The actions, uint8[n, k]: with probability alpha (drawn at
+        PINT_BRANCH_HOP) a packet takes the reservoir branch, where hop i
+        replaces with probability 1/i; otherwise hop i adds with
+        probability p.
+
+        Hops 1..k of a slab of packets hash in one call, about _SLAB_CELLS
+        cells at a time, and each slab's actions are one compare against
+        its rows' thresholds times its rows' action codes."""
+        self._check_length(k)
+        reservoir = hash_uniform_array(self.gh, PINT_BRANCH_HOP, pids) < self.params.alpha
+        hops = np.arange(1, k + 1, dtype=np.uint64)
+        inverse = 1.0 / hops
+        codes = np.where(reservoir, REPLACE, ADD).astype(np.uint8)
+        actions = np.empty((pids.size, k), dtype=np.uint8)
+        rows = max(1, _SLAB_CELLS // k)
+        for lo in range(0, pids.size, rows):
+            hi = min(lo + rows, pids.size)
+            u = hash_uniform_array(self.gh, hops,
+                                   np.broadcast_to(pids[lo:hi, None], (hi - lo, k)))
+            hit = u < np.where(reservoir[lo:hi, None], inverse, self.params.p)
+            np.multiply(hit, codes[lo:hi, None], out=actions[lo:hi])
+        return actions
+
+    def replay(self, packet_id: int, k: int) -> int:
+        """Hash PINT_BRANCH_HOP and hops 1..k in one pass.  Reservoir
+        branch: the last hop i with u_i < 1/i holds the slot (hop 1 always
+        qualifies).  Binomial branch: every hop with u_i < p, possibly none."""
+        self._check_length(k)
+        hops = np.arange(PINT_BRANCH_HOP, k + 1, dtype=np.uint64)
+        u = _top53(hop_keys(self.gh, hops) ^ np.uint64(packet_id & _MASK64)) * 2.0**-53
+        if u[PINT_BRANCH_HOP] < self.params.alpha:
+            hits = _pack_bits(u[1:] < 1.0 / hops[1:])
+            return 1 << (hits.bit_length() - 1)
+        return _pack_bits(u[1:] < self.params.p)
+
+
+def _pack_bits(flags: np.ndarray) -> int:
+    """A bool vector as an int bitmask, flags[h] -> bit h.
+
+    The one-row case of `masks_from_members`, without its word padding and
+    fold, which cost about ten times as much for a single row.
+    """
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
 def xor_members(actions: np.ndarray) -> np.ndarray:
@@ -350,9 +517,9 @@ def generate_avst(apa: Apa, L: int, seed: int) -> Avst:
     on a full-diameter path under key `seed`; rows are therefore bit-exactly
     reproducible from (apa, L, seed).
     """
-    rows = recipe_d_actions(recipe_d_thresholds(apa), GlobalHash(seed), apa.K,
-                            np.arange(L, dtype=np.uint64))
-    return Avst(L, apa.K, rows, seed & _MASK64, apa.digest())
+    scheme = RecipeDScheme(apa, seed)
+    rows = scheme.actions(apa.K, np.arange(L, dtype=np.uint64))
+    return Avst(L, apa.K, rows, scheme.seed, apa.digest())
 
 
 def step_recipe_t(pkt: Packet, my_id: int, avst: Avst, gh: GlobalHash) -> Packet:

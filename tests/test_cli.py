@@ -124,6 +124,47 @@ def test_evaluate_negative_path_length_is_one_error_line(capsys):
     assert out == "" and len(err.splitlines()) == 1 and "k=-1" in err
 
 
+@pytest.mark.parametrize("ks", ["1,,2", "abc", "1.5"])
+def test_evaluate_ks_not_integers_is_a_usage_error(capsys, ks):
+    code, out, err = run_cli(capsys, "evaluate", "--pint-alpha", ".5", "--pint-p", ".2",
+                             "--K", "3", "--ks", ks, "--trials", "2")
+    assert code == 1
+    assert out == "" and "Traceback" not in err and "argument --ks" in err
+
+
+def test_evaluate_diameter_out_of_range_is_one_error_line(tmp_path, capsys):
+    ss, apa, table = tmp_path / "ss.json", tmp_path / "apa.json", tmp_path / "t.avst"
+    run_cli(capsys, "dist", "shifted-soliton", "--K", "5", "-o", str(ss))
+    run_cli(capsys, "derive-apa", str(ss), "-o", str(apa))
+    run_cli(capsys, "gen-avst", "--apa", str(apa), "--L", "50", "-o", str(table))
+    out_path = tmp_path / "curve.csv"
+    for flags, Ks in ((["--seq", str(ss)], (0, -1, 7)), (["--apa", str(apa)], (0, -1, 7)),
+                      (["--avst", str(table)], (0, -1, 7)),
+                      (["--pint-alpha", ".5", "--pint-p", ".2"], (0, -1))):
+        for K in Ks:
+            code, out, err = run_cli(capsys, "evaluate", *flags, f"--K={K}", "--trials", "2",
+                                     "-o", str(out_path))
+            assert code == 3, (flags, K)
+            assert out == "" and len(err.splitlines()) == 1
+            assert not out_path.exists()
+
+
+def test_negative_seed_is_read_mod_2_64(tmp_path, capsys):
+    pint = ["--pint-alpha", ".5", "--pint-p", ".5"]
+    _, want, _ = run_cli(capsys, "simulate", *pint, "--k", "4", "--seed", str(2**64 - 1))
+    code, out, err = run_cli(capsys, "simulate", *pint, "--k", "4", "--seed", "-1")
+    assert code == 0 and err == "" and out == want
+    for seed in ("-1", str(2**64 - 1)):
+        code, _, _ = run_cli(capsys, "evaluate", *pint, "--K", "3", "--trials", "20",
+                             "--seed", seed, "-o", str(tmp_path / f"{seed}.csv"))
+        assert code == 0
+    assert (tmp_path / "-1.csv").read_bytes() == (tmp_path / f"{2**64 - 1}.csv").read_bytes()
+    for argv in (["search", "hrs", "--K", "2", "--candidates", "2", "--trials", "4"],
+                 ["search", "qps", "--K", "3", "--restarts", "1"]):
+        code, _, err = run_cli(capsys, *argv, "--seed", "-1", "-o", str(tmp_path / "s.json"))
+        assert code == 0 and err == ""
+
+
 def _recipe_d_stream(tmp_path, capsys):
     """A K=3 sequence file and a 40-codeword stream for it, seed 5."""
     ss = tmp_path / "ss.json"
@@ -375,6 +416,16 @@ _PINT = ["--pint-alpha", "0.5", "--pint-p", "0.2"]
                  id="compare-row-of-4-fields"),
     pytest.param('{"packet_id": 1}\n', ["decode", *_PINT, "--k", "2", "--in", "{f}"], 2,
                  id="decode-line-without-codeword"),
+    pytest.param('{"packet_id": 1.5, "codeword": 3}\n',
+                 ["decode", *_PINT, "--k", "2", "--in", "{f}"], 2, id="decode-float-packet-id"),
+    pytest.param('{"packet_id": true, "codeword": 3}\n',
+                 ["decode", *_PINT, "--k", "2", "--in", "{f}"], 2, id="decode-bool-packet-id"),
+    pytest.param('{"packet_id": "7", "codeword": 3}\n',
+                 ["decode", *_PINT, "--k", "2", "--in", "{f}"], 2, id="decode-string-packet-id"),
+    pytest.param('{"packet_id": 1, "codeword": 2.0}\n',
+                 ["decode", *_PINT, "--k", "2", "--in", "{f}"], 2, id="decode-float-codeword"),
+    pytest.param('{"packet_id": 1, "codeword": false}\n',
+                 ["decode", *_PINT, "--k", "2", "--in", "{f}"], 2, id="decode-bool-codeword"),
     pytest.param(_NOT_UTF8, ["check", "{f}"], 2, id="check-not-utf8"),
     pytest.param(_NOT_UTF8, ["dist", "invariant", "--from", "{f}"], 2,
                  id="dist-invariant-not-utf8"),
@@ -422,3 +473,11 @@ def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
     run_cli(capsys, "evaluate", "--pint-alpha", "0.5", "--pint-p", "0.2",
             "--K", "2", "--trials", "50", "-o", str(out3))
     assert json.loads((tmp_path / "c.csv.manifest.json").read_text())["seed"] == 0
+
+
+def test_non_integer_seed_env_is_one_usage_error_line(capsys, monkeypatch):
+    monkeypatch.setenv("RECIPE_SEED", "abc")
+    code, out, err = run_cli(capsys, "simulate", "--pint-alpha", ".5", "--pint-p", ".2",
+                             "--k", "2")
+    assert code == 1
+    assert out == "" and len(err.splitlines()) == 1 and "RECIPE_SEED" in err

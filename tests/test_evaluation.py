@@ -101,6 +101,17 @@ def test_curve_point_fields():
         efficiency_curve(scheme, 3, trials=0, seed=1)
 
 
+def test_curve_refuses_a_bad_diameter_or_length_before_any_trial(monkeypatch):
+    ran = []
+    monkeypatch.setattr("recipe.evaluation.run_trials",
+                        lambda scheme, k, seeds: ran.append(k))
+    scheme = _ss_scheme(5)
+    for K, ks in ((0, None), (-1, None), (7, None), (5, [2, 6])):
+        with pytest.raises(RangeError):
+            efficiency_curve(scheme, K, trials=2, seed=1, ks=ks)
+    assert ran == []
+
+
 def test_curve_ks_subset():
     scheme = _ss_scheme(6)
     curve = efficiency_curve(scheme, 6, trials=50, seed=2, ks=[2, 5])

@@ -78,3 +78,14 @@ def _unreferenced_private_names(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_private_name_is_used(path):
     assert _unreferenced_private_names(path) == []
+
+
+def test_decoder_imports_no_private_name():
+    # The destination replays the protocols through their public objects; a
+    # private name would put another module's internals (a hash's bit
+    # layout, a walk's tables) on both sides of that boundary.
+    tree = ast.parse((SRC / "decoder.py").read_text(encoding="utf-8"))
+    private = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) for alias in node.names
+               if alias.name.startswith("_")]
+    assert private == []

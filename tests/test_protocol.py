@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from recipe.distributions import shifted_soliton_sequence
+from recipe.distributions import PintParams, shifted_soliton_sequence
 from recipe.errors import ConfigurationError, ProtocolError, RangeError
 from recipe.feasibility import derive_apa
 from recipe.protocol import (
@@ -16,12 +16,12 @@ from recipe.protocol import (
     Avst,
     GlobalHash,
     Packet,
+    PintScheme,
     _SLAB_CELLS,
     _choose_action,
     generate_avst,
     hash_uniform,
     hash_uniform_array,
-    pint_actions,
     read_avst,
     row_select,
     row_select_array,
@@ -109,7 +109,7 @@ def test_pint_actions_match_per_cell_reference(k, alpha, p, packets):
     hop = np.arange(1, k + 1)
     want = np.where((u0 < alpha)[:, None], np.where(u < 1.0 / hop, REPLACE, SKIP),
                     np.where(u < p, ADD, SKIP))
-    got = pint_actions(alpha, p, _PINT_GH, k, pids)
+    got = PintScheme(PintParams(alpha, p), seed=_PINT_GH, K=k).actions(k, pids)
     assert got.dtype == np.uint8 and got.shape == (n, k)
     assert np.array_equal(got, want)
 
