@@ -222,6 +222,8 @@ def _cmd_decode(args) -> int:
                     if type(pid) is not int or type(value) is not int:  # bool is an int
                         raise TypeError("packet_id and codeword must be JSON integers, "
                                         f"got {pid!r} and {value!r}")
+                    if value < 0:  # an XOR of switch IDs, which are nonnegative
+                        raise ValueError(f"codeword must be nonnegative, got {value}")
                     yield pid, value
 
     stream = (ReceivedCodeword(pid, args.k, value, replay_xor_mask(pid, args.k, scheme))

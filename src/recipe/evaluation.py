@@ -162,6 +162,8 @@ def efficiency_curve(scheme, K: int, trials: int, seed: int,
     ks = list(ks) if ks is not None else list(range(1, K + 1))
     for k in ks:  # refuse a bad k before any trial runs
         scheme._check_length(k)
+        if k > K:
+            raise RangeError(f"path length {k} beyond the curve's diameter K={K}")
     points = map_jobs(_curve_point, [(scheme, k, trials, seed) for k in ks], threads)
     return EfficiencyCurve(scheme.label, K, tuple(points))
 

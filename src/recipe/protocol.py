@@ -39,9 +39,14 @@ _MIX2 = 0x94D049BB133111EB
 # Domain separation: the row-selection hash g is the packet hash h keyed
 # with seed XOR this constant.
 ROW_SELECT_SALT = 0xC2B2AE3D27D4EB4F
-# The same constants as numpy scalars, for the vectorized hash.
-_U64_GOLDEN, _U64_MIX1, _U64_MIX2 = (np.uint64(c) for c in (_GOLDEN, _MIX1, _MIX2))
-_U64_11, _U64_27, _U64_30, _U64_31 = (np.uint64(c) for c in (11, 27, 30, 31))
+# The same constants as 0-d uint64 arrays, for the vectorized hash: as ufunc
+# operands they cost less per call than numpy scalars (about 0.2 us less on
+# a 60-element array), with the same bits.
+_U64_GOLDEN, _U64_MIX1, _U64_MIX2 = (np.array(c, dtype=np.uint64)
+                                     for c in (_GOLDEN, _MIX1, _MIX2))
+_U64_11, _U64_27, _U64_30, _U64_31 = (np.array(c, dtype=np.uint64) for c in (11, 27, 30, 31))
+# Action codes and bool bytes as binary digits, Add and Replace both "1".
+_DIGITS = bytes.maketrans(b"\x00\x01\x02", b"011")
 
 # Action codes, also the 2-bit on-disk encoding (3 is reserved).
 SKIP, ADD, REPLACE = 0, 1, 2
@@ -145,12 +150,19 @@ def row_select(gh: GlobalHash, packet_id: int, L: int) -> int:
     """
     if L < 1:
         raise RangeError(f"table must have at least one row, got L={L}")
-    u = hash_uniform(GlobalHash(gh.seed ^ ROW_SELECT_SALT), 0, packet_id)
-    return min(int(u * L), L - 1)
+    return _row_index(_row_key(gh), packet_id, L)
+
+
+def _row_key(gh: GlobalHash) -> GlobalHash:
+    return GlobalHash(gh.seed ^ ROW_SELECT_SALT)
+
+
+def _row_index(row_key: GlobalHash, packet_id: int, L: int) -> int:
+    return min(int(hash_uniform(row_key, 0, packet_id) * L), L - 1)
 
 
 def row_select_array(gh: GlobalHash, packet_ids: np.ndarray, L: int) -> np.ndarray:
-    u = hash_uniform_array(GlobalHash(gh.seed ^ ROW_SELECT_SALT), 0, packet_ids)
+    u = hash_uniform_array(_row_key(gh), 0, packet_ids)
     return np.minimum((u * L).astype(np.int64), L - 1)
 
 
@@ -217,11 +229,14 @@ def step_recipe_d(pkt: Packet, my_id: int, apa: Apa, gh: GlobalHash) -> Packet:
 #     the evaluation runs, from which `xor_members` reads XOR-sets,
 #     codeword values and degrees;
 #   replay(packet_id, k) -> int, one packet's XOR-set as a bitmask: the
-#     destination's replay.  Measured for recipe-d at K=59 (2-CPU host,
-#     best of 3): one packet costs 10 us by replay at k=10 and 15 us at
-#     k=59, but 0.18 and 1.1 ms by the kernel, whose numpy calls per hop
-#     carry a fixed cost; on blocks of 4000 packets the kernel costs 0.12
-#     and 0.75 us a packet, 80 and 20 times less than replay.
+#     destination's replay: one hash pass over the packet's hops, read
+#     with the kernel's thresholds (recipe-t hashes once, for its row, and
+#     reads the row's bytes).  Measured at K=59 (2-CPU host, best of
+#     3): one packet costs 8 and 12 us by replay at k=10 and 59 for
+#     recipe-d, 2.5 and 2.7 us for recipe-t and 7.3 and 7.5 us for PINT.
+#     For recipe-d the kernel costs 0.16 and 1.0 ms for one packet, its
+#     numpy calls per hop carrying a fixed cost, but 0.10 and 0.62 us a
+#     packet on blocks of 4000, 80 and 20 times less than replay.
 
 
 class _Protocol:
@@ -255,8 +270,9 @@ class RecipeDScheme(_Protocol):
     incoming degree 0..i-1, the same floats `step_recipe_d` compares.  Hop
     1 holds its fixed (0, 0, 1) row at degree 0; degree 0 of later hops
     and the APA's unreachable rows hold -1.  The batch kernel reads the
-    tables as arrays, replay as Python ints, each hop's with its bit and
-    hash key.
+    tables as arrays, replay as Python int lists, with 2^53 (above every
+    draw) in place of an unreachable row's add_rep so that its Skip test
+    fails.
     """
 
     apa: Apa
@@ -266,7 +282,8 @@ class RecipeDScheme(_Protocol):
     # (add, add_rep, the set of hops that have an unreachable row)
     _tables: tuple = field(init=False, repr=False, compare=False)
     _keys: np.ndarray = field(init=False, repr=False, compare=False)
-    _walk: list = field(init=False, repr=False, compare=False)
+    # (add lists, add_rep lists, hop bits), one entry per hop
+    _walk: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._set_key()
@@ -281,8 +298,10 @@ class RecipeDScheme(_Protocol):
         object.__setattr__(self, "_tables", (add, add_rep, frozenset(gaps)))
         object.__setattr__(self, "_keys",
                            hop_keys(self.gh, np.arange(1, self.K + 1, dtype=np.uint64)))
-        object.__setattr__(self, "_walk", [(1 << h, a.tolist(), r.tolist())
-                                           for h, (a, r) in enumerate(zip(add, add_rep))])
+        object.__setattr__(self, "_walk", (
+            [a.tolist() for a in add],
+            [np.where(a < 0, 1 << 53, r).tolist() for a, r in zip(add, add_rep)],
+            [1 << h for h in range(self.K)]))
 
     @property
     def K(self) -> int:
@@ -333,19 +352,21 @@ class RecipeDScheme(_Protocol):
         """The degree walk of `step_recipe_d` over hops 1..k of one packet,
         with every hop's draw hashed in one pass over the hop keys."""
         self._check_length(k)
-        ys = _top53(self._keys[:k] ^ np.uint64(packet_id & _MASK64)).tolist()
+        ys = _top53(self._keys[:k] ^ (packet_id & _MASK64)).tolist()
         mask, d = 0, 0
-        for y, (bit, add, add_rep) in zip(ys, self._walk):
+        for y, add, add_rep, bit in zip(ys, *self._walk):
+            if y >= add_rep[d]:  # Skip, the common case
+                continue
             threshold = add[d]
             if y < threshold:
                 mask |= bit
                 d += 1
-            elif y < add_rep[d]:
-                mask = bit
-                d = 1
-            elif threshold < 0:  # unreachable: both comparisons were false
+            elif threshold < 0:  # unreachable
                 raise ProtocolError(
                     f"unreachable APA entry consulted at (i={bit.bit_length()}, d={d})")
+            else:
+                mask = bit
+                d = 1
         return mask
 
 
@@ -359,9 +380,11 @@ class RecipeTScheme(_Protocol):
     seed: int = 0
     label: str | None = None
     gh: GlobalHash = field(init=False, repr=False, compare=False)
+    _row_key: GlobalHash = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._set_key()
+        object.__setattr__(self, "_row_key", _row_key(self.gh))
         if self.label is None:
             object.__setattr__(self, "label", f"recipe-t:L={self.avst.L}")
 
@@ -374,16 +397,12 @@ class RecipeTScheme(_Protocol):
         return self.avst.rows[row_select_array(self.gh, pids, self.avst.L), :k]
 
     def replay(self, packet_id: int, k: int) -> int:
-        """Hops 1..k of the packet's table row: no per-hop draw."""
+        """Hops 1..k of the packet's table row, no per-hop draw: the hops
+        that act from the last Replace on, read off the row's bytes."""
         self._check_length(k)
-        row = self.avst.rows[row_select(self.gh, packet_id, self.avst.L), :k]
-        mask = 0
-        for h, action in enumerate(row.tolist()):
-            if action == ADD:
-                mask |= 1 << h
-            elif action == REPLACE:
-                mask = 1 << h
-        return mask
+        row = self.avst.rows[_row_index(self._row_key, packet_id, self.avst.L), :k].tobytes()
+        start = max(row.rfind(REPLACE), 0)
+        return int(row[start:][::-1].translate(_DIGITS), 2) << start
 
 
 @dataclass(frozen=True)
@@ -392,19 +411,38 @@ class PintScheme(_Protocol):
     reservoir-sampled single hop, otherwise every hop XORs in with
     probability p.  The binomial branch can deliver an empty codeword,
     which counts like any delivered packet: a switch really did flip a
-    coin for it.  The protocol needs no diameter; K only bounds k."""
+    coin for it.  The protocol needs no diameter; K only bounds k.
+
+    Both views read one integer table per path length k, built the first
+    time k is used: the hash keys of PINT_BRANCH_HOP and hops 1..k, and
+    the `thresholds53` rows [alpha, 1/1 .. 1/k] and [alpha, p .. p] as
+    uint64, so every draw is compared in the hash's integer domain."""
 
     params: PintParams
     seed: int = 0
     K: int = 2**31
     label: str | None = None
     gh: GlobalHash = field(init=False, repr=False, compare=False)
+    _tables: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._set_key()
+        object.__setattr__(self, "_tables", {})
         if self.label is None:
             object.__setattr__(
                 self, "label", f"pint:a={self.params.alpha:g};p={self.params.p:g}")
+
+    def _table(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(hop keys, reservoir thresholds, binomial thresholds) for hops 0..k."""
+        table = self._tables.get(k)
+        if table is None:
+            probs = np.empty((2, k + 1))
+            probs[:, PINT_BRANCH_HOP] = self.params.alpha
+            probs[0, 1:] = 1.0 / np.arange(1, k + 1)
+            probs[1, 1:] = self.params.p
+            keys = hop_keys(self.gh, np.arange(PINT_BRANCH_HOP, k + 1, dtype=np.uint64))
+            table = self._tables[k] = (keys, *thresholds53(probs).astype(np.uint64))
+        return table
 
     def actions(self, k: int, pids: np.ndarray) -> np.ndarray:
         """The actions, uint8[n, k]: with probability alpha (drawn at
@@ -412,44 +450,36 @@ class PintScheme(_Protocol):
         replaces with probability 1/i; otherwise hop i adds with
         probability p.
 
-        Hops 1..k of a slab of packets hash in one call, about _SLAB_CELLS
+        Hops 1..k of a slab of packets hash in one pass, about _SLAB_CELLS
         cells at a time, and each slab's actions are one compare against
         its rows' thresholds times its rows' action codes."""
         self._check_length(k)
-        reservoir = hash_uniform_array(self.gh, PINT_BRANCH_HOP, pids) < self.params.alpha
-        hops = np.arange(1, k + 1, dtype=np.uint64)
-        inverse = 1.0 / hops
+        keys, inverse, p = self._table(k)
+        pids = np.asarray(pids, dtype=np.uint64)
+        reservoir = _top53(pids ^ keys[PINT_BRANCH_HOP]) < p[PINT_BRANCH_HOP]
         codes = np.where(reservoir, REPLACE, ADD).astype(np.uint8)
         actions = np.empty((pids.size, k), dtype=np.uint8)
         rows = max(1, _SLAB_CELLS // k)
         for lo in range(0, pids.size, rows):
             hi = min(lo + rows, pids.size)
-            u = hash_uniform_array(self.gh, hops,
-                                   np.broadcast_to(pids[lo:hi, None], (hi - lo, k)))
-            hit = u < np.where(reservoir[lo:hi, None], inverse, self.params.p)
+            y = _top53(pids[lo:hi, None] ^ keys[1:])
+            hit = y < np.where(reservoir[lo:hi, None], inverse[1:], p[1:])
             np.multiply(hit, codes[lo:hi, None], out=actions[lo:hi])
         return actions
 
     def replay(self, packet_id: int, k: int) -> int:
-        """Hash PINT_BRANCH_HOP and hops 1..k in one pass.  Reservoir
-        branch: the last hop i with u_i < 1/i holds the slot (hop 1 always
-        qualifies).  Binomial branch: every hop with u_i < p, possibly none."""
+        """Hash PINT_BRANCH_HOP and hops 1..k in one pass and compare all
+        of them with the binomial row, whose entry 0 is alpha: a hit there
+        picks the reservoir branch, where the last hop i with y_i below
+        the 1/i threshold holds the slot (hop 1 always qualifies);
+        otherwise the hits on hops 1..k are the XOR-set, possibly empty."""
         self._check_length(k)
-        hops = np.arange(PINT_BRANCH_HOP, k + 1, dtype=np.uint64)
-        u = _top53(hop_keys(self.gh, hops) ^ np.uint64(packet_id & _MASK64)) * 2.0**-53
-        if u[PINT_BRANCH_HOP] < self.params.alpha:
-            hits = _pack_bits(u[1:] < 1.0 / hops[1:])
-            return 1 << (hits.bit_length() - 1)
-        return _pack_bits(u[1:] < self.params.p)
-
-
-def _pack_bits(flags: np.ndarray) -> int:
-    """A bool vector as an int bitmask, flags[h] -> bit h.
-
-    The one-row case of `masks_from_members`, without its word padding and
-    fold, which cost about ten times as much for a single row.
-    """
-    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+        keys, inverse, p = self._table(k)
+        ys = _top53(keys ^ (packet_id & _MASK64))
+        hits = (ys < p).tobytes()
+        if hits[PINT_BRANCH_HOP]:
+            return 1 << ((ys < inverse).tobytes().rfind(1) - 1)
+        return int(hits[:0:-1].translate(_DIGITS), 2)  # hops k..1, most significant first
 
 
 def xor_members(actions: np.ndarray) -> np.ndarray:

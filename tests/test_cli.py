@@ -149,6 +149,22 @@ def test_evaluate_diameter_out_of_range_is_one_error_line(tmp_path, capsys):
             assert not out_path.exists()
 
 
+def test_evaluate_ks_beyond_K_is_one_error_line(tmp_path, capsys):
+    # A K=5 code evaluated as a K=3 curve: k=4 and 5 fit the code but not the curve.
+    ss, apa, table = tmp_path / "ss.json", tmp_path / "apa.json", tmp_path / "t.avst"
+    run_cli(capsys, "dist", "shifted-soliton", "--K", "5", "-o", str(ss))
+    run_cli(capsys, "derive-apa", str(ss), "-o", str(apa))
+    run_cli(capsys, "gen-avst", "--apa", str(apa), "--L", "50", "-o", str(table))
+    out_path = tmp_path / "curve.csv"
+    for flags in (["--seq", str(ss)], ["--apa", str(apa)], ["--avst", str(table)]):
+        for ks in ("5", "1,4"):
+            code, out, err = run_cli(capsys, "evaluate", *flags, "--K", "3", "--ks", ks,
+                                     "--trials", "2", "-o", str(out_path))
+            assert code == 3, (flags, ks)
+            assert out == "" and len(err.splitlines()) == 1 and "K=3" in err
+            assert not out_path.exists()
+
+
 def test_negative_seed_is_read_mod_2_64(tmp_path, capsys):
     pint = ["--pint-alpha", ".5", "--pint-p", ".5"]
     _, want, _ = run_cli(capsys, "simulate", *pint, "--k", "4", "--seed", str(2**64 - 1))
@@ -426,6 +442,9 @@ _PINT = ["--pint-alpha", "0.5", "--pint-p", "0.2"]
                  ["decode", *_PINT, "--k", "2", "--in", "{f}"], 2, id="decode-float-codeword"),
     pytest.param('{"packet_id": 1, "codeword": false}\n',
                  ["decode", *_PINT, "--k", "2", "--in", "{f}"], 2, id="decode-bool-codeword"),
+    pytest.param('{"packet_id": 3, "codeword": -7}\n{"packet_id": 4, "codeword": -7}\n',
+                 ["decode", "--pint-alpha", "1", "--pint-p", ".2", "--k", "1", "--in", "{f}"], 2,
+                 id="decode-negative-codeword"),
     pytest.param(_NOT_UTF8, ["check", "{f}"], 2, id="check-not-utf8"),
     pytest.param(_NOT_UTF8, ["dist", "invariant", "--from", "{f}"], 2,
                  id="dist-invariant-not-utf8"),

@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -33,6 +36,7 @@ from recipe.protocol import (
     GlobalHash,
     Packet,
     generate_avst,
+    row_select,
     step_recipe_d,
     step_recipe_t,
     xor_members,
@@ -54,6 +58,25 @@ def test_replay_recipe_t_forced_rows():
     row2 = np.array([[REPLACE, SKIP, REPLACE]], dtype=np.uint8)
     scheme2 = RecipeTScheme(Avst(1, 3, row2, 0, digest), seed=3)
     assert replay_xor_set(12345, 3, scheme2) == frozenset({3})
+
+
+def test_replay_recipe_t_matches_table_steps():
+    # Rows that real tables (hop 1 always Replace) never hold: all Skip,
+    # no Replace, Replace at the last hop, Replace followed by Adds.
+    rows = np.array([[SKIP, SKIP, SKIP, SKIP, SKIP],
+                     [ADD, SKIP, ADD, ADD, SKIP],
+                     [ADD, ADD, SKIP, ADD, REPLACE],
+                     [REPLACE, ADD, REPLACE, ADD, ADD]], dtype=np.uint8)
+    avst = Avst(4, 5, rows, 0, "00" * 32)
+    scheme = RecipeTScheme(avst, seed=11)
+    bits = [1 << h for h in range(avst.K)]
+    seen = set()
+    for pid in range(64):
+        seen.add(row_select(scheme.gh, pid, avst.L))
+        for k in range(1, avst.K + 1):
+            want = _fold(step_recipe_t, avst, scheme.gh, pid, bits[:k])
+            assert replay_xor_mask(pid, k, scheme) == want, (pid, k)
+    assert seen == {0, 1, 2, 3}
 
 
 def test_replay_recipe_d_equals_encoder_trace():
@@ -154,6 +177,41 @@ def test_scheme_and_mode_names_are_one_class():
         assert scheme.decode_mode() is scheme
     assert isinstance(pairs[0][1].decode_mode(), RecipeDMode)
     assert isinstance(pairs[1][1].decode_mode(), RecipeTMode)
+
+
+def test_replay_tables_belong_to_one_object_and_change_no_result():
+    # PintScheme builds a table per path length on first use; a copy by
+    # dataclasses.replace or pickle, or a detour through other lengths,
+    # replays the same masks.
+    apa = derive_apa(shifted_soliton_sequence(12))
+    schemes = [RecipeDScheme(apa, seed=5), RecipeTScheme(generate_avst(apa, 40, seed=2), seed=5),
+               PintScheme(PintParams(0.3, 0.2), seed=5, K=12)]
+    pids = range(2**64 - 50, 2**64)
+    for scheme in schemes:
+        def masks(s, k):
+            return [s.replay(pid, k) for pid in pids]
+
+        fresh = [masks(dataclasses.replace(scheme), k) for k in (12, 3, 12)]
+        visited = [masks(scheme, k) for k in (12, 3, 12)]
+        assert visited == fresh
+        relabelled = dataclasses.replace(scheme, label="other")
+        assert [masks(relabelled, k) for k in (3, 12)] == fresh[1:]
+        unpickled = pickle.loads(pickle.dumps(scheme))
+        assert [masks(unpickled, k) for k in (3, 12, 7)] == [*fresh[1:], masks(scheme, 7)]
+    pint = schemes[2]
+    assert set(pint._tables) == {3, 7, 12}
+    assert not dataclasses.replace(pint, label="other")._tables
+
+
+def test_received_codeword_contract():
+    cw = ReceivedCodeword(7, 3, 0xAB, 0b101)
+    assert tuple(cw) == (7, 3, 0xAB, 0b101)
+    assert (cw.packet_id, cw.path_length, cw.codeword, cw.xor_set) == (7, 3, 0xAB, 0b101)
+    assert ReceivedCodeword(packet_id=7, path_length=3, codeword=0xAB, xor_set=0b101) == cw
+    assert repr(cw) == "ReceivedCodeword(packet_id=7, path_length=3, codeword=171, xor_set=5)"
+    for name in ("packet_id", "path_length", "codeword", "xor_set"):
+        with pytest.raises(AttributeError):
+            setattr(cw, name, 0)
 
 
 def test_replay_reservoir_branch_is_single_uniformish_hop():

@@ -114,6 +114,22 @@ def test_pint_actions_match_per_cell_reference(k, alpha, p, packets):
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("k", [1, 2, 64, 65, 118, 236])
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("p", [2 / 118, 1 / 3, 0.5], ids=["2/118", "1/3", "1/2"])
+def test_pint_replay_matches_per_cell_reference(k, alpha, p):
+    # The rule in floats, cell by cell: reservoir when u0 < alpha, keeping
+    # the last hop i with u_i < 1/i; otherwise every hop with u_i < p.
+    pids, u0, u = _pint_cells(k, 40)
+    scheme = PintScheme(PintParams(alpha, p), seed=_PINT_GH, K=k)
+    for pid, branch, row in zip(pids.tolist(), u0, u):
+        if branch < alpha:
+            want = 1 << max(h for h in range(k) if row[h] < 1.0 / (h + 1))
+        else:
+            want = sum(1 << h for h in range(k) if row[h] < p)
+        assert scheme.replay(pid, k) == want
+
+
 def test_hash_uniform_mean():
     gh = GlobalHash(7)
     ids = np.random.default_rng(1).integers(0, 2**64, size=10**6, dtype=np.uint64)
