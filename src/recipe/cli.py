@@ -2,7 +2,7 @@
 
 Subcommands: dist, check, derive-apa, gen-avst, simulate, decode,
 search {hrs,qps}, evaluate, compare.  Structured artifacts are JSON, curves
-are CSV, only the action table is binary.  Every output file gets a sidecar
+are CSV, only the action table is binary.  Every `-o` output gets a sidecar
 <name>.manifest.json recording the exact command, seeds, input digests,
 tool version, and timestamp; the outputs themselves are deterministic under
 --seed so reruns are byte-identical.

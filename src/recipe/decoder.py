@@ -86,14 +86,13 @@ class PeelingState:
             raise RangeError(f"path length must be positive, got k={k}")
         self.k = k
         self.resolved: dict[int, int] = {}  # hop -> value
-        self._resolved_mask = 0
-        self._value_by_bit: dict[int, int] = {}
+        self._resolved_mask = 0  # bit h-1 set once hop h is in `resolved`
         self._by_bit: dict[int, list] = {}  # bit -> pending [mask, value] entries
         self._n_pending = 0
 
     @property
     def complete(self) -> bool:
-        return len(self.resolved) == self.k
+        return self._resolved_mask == (1 << self.k) - 1
 
     def pending_count(self) -> int:
         return self._n_pending
@@ -104,10 +103,11 @@ class PeelingState:
         finish).  Every consumed codeword counts, useless ones included:
         each cost a delivered packet."""
         used = 0
+        full = (1 << self.k) - 1
         for mask, value in codewords:
             self.insert(mask, value)
             used += 1
-            if len(self.resolved) == self.k:
+            if self._resolved_mask == full:
                 break
         return used
 
@@ -118,7 +118,7 @@ class PeelingState:
             mask ^= known
             while known:
                 low = known & -known
-                value ^= self._value_by_bit[low]
+                value ^= self.resolved[low.bit_length()]
                 known ^= low
         if mask == 0:
             if value != 0:
@@ -145,14 +145,12 @@ class PeelingState:
         queue = [(bit, value)]
         while queue:
             bit, value = queue.pop()
+            hop = bit.bit_length()
             if bit & self._resolved_mask:
-                if value != self._value_by_bit[bit]:
-                    raise DataCorruptionError(
-                        f"hop {bit.bit_length()} resolved to two different values")
+                if value != self.resolved[hop]:
+                    raise DataCorruptionError(f"hop {hop} resolved to two different values")
                 continue
             self._resolved_mask |= bit
-            self._value_by_bit[bit] = value
-            hop = bit.bit_length()
             self.resolved[hop] = value
             newly.append(hop)
             for entry in self._by_bit.pop(bit, ()):
@@ -172,11 +170,13 @@ class PeelingState:
 
 def _masks_and_values(codewords, k: int):
     """(xor_set, codeword) of each codeword, refusing one of another path
-    length than k."""
+    length than k or whose XOR-set names a hop outside 1..k."""
     for cw in codewords:
         if cw.path_length != k:
             raise RangeError(
                 f"codeword for path length {cw.path_length} fed to a k={k} decoder")
+        if cw.xor_set >> k:  # also true of every negative mask
+            raise RangeError(f"XOR-set {cw.xor_set} names a hop outside 1..{k}")
         yield cw.xor_set, cw.codeword
 
 

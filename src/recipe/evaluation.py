@@ -26,7 +26,7 @@ from .decoder import PeelingState
 from .distributions import PintParams
 from .errors import InternalConsistencyError, RangeError
 from .feasibility import derive_apa
-from .protocol import PintScheme, RecipeDScheme, RecipeTScheme
+from .protocol import PintScheme, RecipeDScheme, RecipeTScheme, generate_avst
 from .protocol import _mix64, masks_from_members, xor_members
 # Unused here, but bench/tracing.py patches these names on this module.
 from .protocol import hash_uniform_array, row_select_array  # noqa: F401
@@ -172,8 +172,6 @@ def compare_t_vs_d(seq: XddSequence, L_values, trials: int, seed: int,
                    ks=None, threads: int = 1) -> dict[str, EfficiencyCurve]:
     """Table-based approximation quality study: one curve per table size
     against the exact degree-based protocol, from one derived APA."""
-    from .protocol import generate_avst
-
     apa = derive_apa(seq)
     curves = {}
     d_scheme = RecipeDScheme(apa=apa, seed=seed, label="recipe-d")

@@ -29,13 +29,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     InfeasibleSequenceError,
-    InternalConsistencyError,
     ProtocolError,
     RangeError,
     SequenceValidationError,
@@ -76,12 +75,11 @@ class Violation:
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    feasible: bool
-    violations: tuple[Violation, ...] = field(default_factory=tuple)
+    violations: tuple[Violation, ...] = ()
 
-    def __post_init__(self):
-        if self.feasible != (len(self.violations) == 0):
-            raise InternalConsistencyError("feasible flag disagrees with violations")
+    @property
+    def feasible(self) -> bool:
+        return not self.violations
 
 
 def _rhs_mu(mass_i: np.ndarray, i: int) -> np.ndarray:
@@ -103,7 +101,7 @@ def check_feasible(seq: XddSequence) -> FeasibilityReport:
             d = int(idx) + 1
             violations.append(Violation(i, d, float(q_from_mu(lhs[idx], i - 1, d)),
                                         float(q_from_mu(rhs[idx], i - 1, d))))
-    return FeasibilityReport(not violations, tuple(violations))
+    return FeasibilityReport(tuple(violations))
 
 
 def check_invariant_feasible(mu_K: Xdd) -> FeasibilityReport:
@@ -120,7 +118,7 @@ def check_invariant_feasible(mu_K: Xdd) -> FeasibilityReport:
         rhs = (d + 1) / d * mu_K.mu(d + 1)
         if lhs - rhs < -SLACK_TOL:
             violations.append(Violation(d + 2, d, lhs, rhs))
-    return FeasibilityReport(not violations, tuple(violations))
+    return FeasibilityReport(tuple(violations))
 
 
 @dataclass(frozen=True)
@@ -193,8 +191,9 @@ class Apa:
 def derive_apa(seq: XddSequence) -> Apa:
     """Derive the APA realizing a feasible sequence.
 
-    Raises InfeasibleSequenceError (with the report) when the sequence
-    fails (*): per the necessity proof no APA can realize it.
+    check_feasible is the only gate, and every sequence it accepts
+    derives.  One that fails (*) raises InfeasibleSequenceError (with the
+    report): per the necessity proof no APA can realize it.
     """
     report = check_feasible(seq)
     if not report.feasible:
@@ -203,25 +202,20 @@ def derive_apa(seq: XddSequence) -> Apa:
     for i in range(2, seq.K + 1):
         prev = seq.xdds[i - 2].mass
         cur = seq.xdds[i - 1].mass
+        reach = prev != 0.0  # unreachable states keep the NaN sentinel row
+        prev = prev[reach]
+        d = np.arange(1, i)[reach]
+        p_add = cur[1:][reach] / prev * (d + 1) / i
+        p_skip = cur[:-1][reach] / prev * (i - d) / i
+        p_rep = 1.0 - p_add - p_skip
+        # The check forgives mu-space slack down to -SLACK_TOL, which leaves
+        # p_rep as low as -SLACK_TOL / mu_{i-1}(d): put such rows on their facet.
+        total = np.where(p_rep < 0.0, p_add + p_skip, 1.0)
+        p_add /= total
+        p_skip /= total
+        p_rep = np.maximum(p_rep, 0.0)
         rows = np.full((i - 1, 3), np.nan)
-        for d in range(1, i):
-            denom = prev[d - 1]
-            if denom == 0.0:
-                continue  # unreachable state, sentinel row
-            p_add = cur[d] / denom * (d + 1) / i
-            p_skip = cur[d - 1] / denom * (i - d) / i
-            p_rep = 1.0 - p_add - p_skip
-            if p_rep < -1e-9:
-                raise InternalConsistencyError(
-                    f"replace probability {p_rep} at (i={i}, d={d}) "
-                    "for a sequence that passed the feasibility check")
-            if p_rep < 0.0:
-                # Facet point: renormalize the rounding artifact away.
-                p_rep = 0.0
-                s = p_add + p_skip
-                p_add /= s
-                p_skip /= s
-            rows[d - 1] = (p_add, p_skip, p_rep)
+        rows[reach] = np.column_stack((p_add, p_skip, p_rep))
         triples.append(rows)
     return Apa(seq.K, tuple(triples))
 

@@ -231,12 +231,8 @@ def step_recipe_d(pkt: Packet, my_id: int, apa: Apa, gh: GlobalHash) -> Packet:
 #   replay(packet_id, k) -> int, one packet's XOR-set as a bitmask: the
 #     destination's replay: one hash pass over the packet's hops, read
 #     with the kernel's thresholds (recipe-t hashes once, for its row, and
-#     reads the row's bytes).  Measured at K=59 (2-CPU host, best of
-#     3): one packet costs 8 and 12 us by replay at k=10 and 59 for
-#     recipe-d, 2.5 and 2.7 us for recipe-t and 7.3 and 7.5 us for PINT.
-#     For recipe-d the kernel costs 0.16 and 1.0 ms for one packet, its
-#     numpy calls per hop carrying a fixed cost, but 0.10 and 0.62 us a
-#     packet on blocks of 4000, 80 and 20 times less than replay.
+#     reads the row's bytes).  Each view is the fast one where it is
+#     used; README's "Protocols and decoder" gives their costs.
 
 
 class _Protocol:

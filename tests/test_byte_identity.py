@@ -2,7 +2,8 @@
 
 The encoders may be restructured freely, but for a fixed seed these bytes
 must not move: the APA files derived from Shifted Soliton at K=59 and 70,
-curve CSVs (degree-based at the paper's K=59, table-based
+from a sequence on the feasibility facets and from one with unreachable
+states, curve CSVs (degree-based at the paper's K=59, table-based
 and PINT across the 64-hop word boundary), an action table file, the
 XOR-set masks of every scheme at k = 64 and 65 (as generated and as
 replayed at the destination), PINT trials at K=118, a backward (HRS)
@@ -22,17 +23,24 @@ import pytest
 
 from recipe.cli import main
 from recipe.decoder import replay_xor_mask
-from recipe.distributions import PintParams, robust_soliton, shifted_soliton
+from recipe.distributions import PintParams, expand_invariant, robust_soliton, shifted_soliton
 from recipe.evaluation import PintScheme, RecipeDScheme, RecipeTScheme, derive_seed, run_trials
-from recipe.feasibility import read_apa
+from recipe.feasibility import apa_to_json, derive_apa, read_apa
 from recipe.protocol import read_avst
 from recipe.search import (_objective_and_grad, hrs_search, mean_field_objective,
                            project_invariant_polytope, qps_search, random_feasible_sequence)
-from recipe.xdd import sequence_to_json
+from recipe.xdd import Xdd, sequence_to_json
 
 APA_SHA = {
     59: "6d5869ebf1613ac9b7c27765a1c241b68d717cba23f9c6eae3dc20e6d4d4f28a",
     70: "bcc051f87506fc822a80e0a991fcc558bf6838e3a81623435ee2297acc7d6195",
+}
+# APA JSON of invariant expansions: mu(d) proportional to 1/d at K=5, whose
+# facet rows have p_R = 0, and mass on degrees 1, 2 and 20 only at K=20,
+# whose unreachable states are null rows.
+APA_EDGE_SHA = {
+    "facet": "ee084902b4c765d7b3a9b76e89ca95be5962b3b80f89f87176f64148bd5f2d0d",
+    "null-rows": "2c7e255938e6cc12dcf4a25599c10ea5e84c70f7211d8c88fcee2bd2c4cda776",
 }
 AVST_SHA = "62ce0ba47825baa17459f00436835b72f338a13c1b06f1ebef9ffced9fa5f32c"
 CSV_SHA = {
@@ -83,6 +91,18 @@ def artifacts(tmp_path_factory):
 @pytest.mark.parametrize("K", sorted(APA_SHA))
 def test_derive_apa_bytes_pinned(artifacts, K):
     assert _sha((artifacts / f"apa{K}.json").read_bytes()) == APA_SHA[K]
+
+
+@pytest.mark.parametrize("case", sorted(APA_EDGE_SHA))
+def test_derive_apa_edge_rows_pinned(case):
+    if case == "facet":
+        h = sum(1.0 / d for d in range(1, 6))
+        mu = Xdd(5, [1.0 / (d * h) for d in range(1, 6)])
+    else:
+        mu = Xdd(20, [0.6, 0.3] + [0.0] * 17 + [0.1])
+    text = apa_to_json(derive_apa(expand_invariant(mu)))
+    assert ("null" in text) == (case == "null-rows")
+    assert _sha(text.encode()) == APA_EDGE_SHA[case]
 
 
 def test_gen_avst_bytes_pinned(artifacts):

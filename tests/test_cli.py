@@ -8,7 +8,7 @@ from recipe.decoder import replay_xor_mask
 from recipe.evaluation import CSV_HEADER, RecipeDScheme
 from recipe.feasibility import derive_apa, read_apa
 from recipe.protocol import read_avst
-from recipe.xdd import read_sequence
+from recipe.xdd import read_sequence, sequence_from_masses, write_sequence
 
 
 def run_cli(capsys, *argv):
@@ -64,6 +64,18 @@ def test_derive_apa_infeasible_exit_2(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "derive-apa", str(ideal), "-o", str(tmp_path / "x.json"))
     assert code == 2
     assert "infeasible" in out
+
+
+def test_check_and_derive_apa_agree_past_a_facet(tmp_path, capsys):
+    # Slack -5e-13 at (i=3, d=2): within the check's tolerance, and p_R
+    # there computes to -5e-8 before the facet renormalization.
+    c = 3 * (1e-5 + 5e-13)
+    seq = tmp_path / "seq.json"
+    write_sequence(sequence_from_masses([[1.0], [1 - 1e-5, 1e-5], [1 - c, c, 0.0]]), seq)
+    assert run_cli(capsys, "check", str(seq))[0] == 0
+    code, _, err = run_cli(capsys, "derive-apa", str(seq), "-o", str(tmp_path / "apa.json"))
+    assert (code, err) == (0, "")
+    assert read_apa(tmp_path / "apa.json").entry(3, 2)[2] == 0.0
 
 
 def test_gen_avst(tmp_path, capsys):

@@ -329,6 +329,23 @@ def test_peel_path_length_mismatch():
         peel_insert(state, ReceivedCodeword(1, 3, 5, 0b1))
 
 
+@pytest.mark.parametrize("k, xor_set", [(3, -1), (2, 0b100)], ids=["negative", "hop-above-k"])
+def test_xor_set_outside_hops_1_to_k_is_refused(k, xor_set):
+    with pytest.raises(RangeError):
+        decode_stream([ReceivedCodeword(1, k, 0, xor_set)], k)
+    with pytest.raises(RangeError):
+        peel_insert(PeelingState(k), ReceivedCodeword(1, k, 0, xor_set))
+
+
+def test_complete_reads_which_hops_resolved():
+    # insert trusts its caller's masks; a hop 3 at k=2 must not stand in
+    # for the missing hop 2.
+    state = PeelingState(2)
+    state.insert(0b100, 5)
+    state.insert(0b1, 7)
+    assert not state.complete
+
+
 def test_decode_stream_single_message():
     cws = [ReceivedCodeword(1, 1, 0x42, 0b1)]
     result = decode_stream(iter(cws), 1)

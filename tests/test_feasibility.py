@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -12,12 +13,12 @@ from recipe.distributions import (
 )
 from recipe.errors import (
     InfeasibleSequenceError,
-    InternalConsistencyError,
     ProtocolError,
     RangeError,
     SequenceValidationError,
 )
 from recipe.feasibility import (
+    SLACK_TOL,
     Apa,
     FeasibilityReport,
     apa_from_json,
@@ -246,9 +247,33 @@ def test_facet_sequence_round_trips_with_zero_replace():
         assert np.abs(a.mass - b.mass).max() <= 1e-10
 
 
-def test_report_flag_consistency_guard():
-    with pytest.raises(InternalConsistencyError):
-        FeasibilityReport(True, ({},))
+def test_report_is_its_violation_list():
+    assert [f.name for f in dataclasses.fields(FeasibilityReport)] == ["violations"]
+    assert FeasibilityReport().feasible
+    report = check_feasible(ideal_soliton_sequence(3))
+    assert report.violations and not report.feasible
+
+
+def _pushed_past_facet(m):
+    # Hop 2 puts mass m on degree 2; hop 3 asks (3, 2) for m + 5e-13, a
+    # mu-space slack of -5e-13 that the check forgives, so p_R at (3, 2)
+    # computes to -5e-13 / m before the facet renormalization.
+    c = 3 * (m + 5e-13)
+    return sequence_from_masses([[1.0], [1.0 - m, m], [1.0 - c, c, 0.0]])
+
+
+@pytest.mark.parametrize("m", [1e-5, 1e-7, 1e-13])
+def test_every_sequence_check_accepts_derives(m):
+    seq = _pushed_past_facet(m)
+    slack = seq.xdds[1].mass[1] - seq.xdds[2].mass[1] / 3
+    assert -SLACK_TOL < slack < 0.0
+    assert check_feasible(seq).feasible
+    apa = derive_apa(seq)
+    assert apa.entry(3, 2)[2] == 0.0
+    apa_from_json(apa_to_json(apa))  # the file form passes Apa's row checks
+    induced = exact_induced_sequence(apa)
+    for a, b in zip(induced.xdds, seq.xdds):
+        assert np.abs(a.mass - b.mass).max() <= 1e-12
 
 
 def test_apa_json_round_trip_with_sentinels(tmp_path):

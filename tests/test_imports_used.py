@@ -5,33 +5,41 @@ No linter runs on this code, and deleting a second copy of some job tends
 to strand the imports and helpers it needed.  An import statement that
 carries `# noqa: F401` on any of its lines is exempt: the package's
 re-exports, and names imported only so that outside code can find them on
-a module.  A private name (`_x`) is for the package's own use, so one that
+a module.  Outside `__init__.py` that outside code is `bench/`, so such a
+name must still appear in some `bench/*.py` file.  A private name (`_x`) is for the package's own use, so one that
 no module references outside its definition is dead code.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "recipe"
+BENCH = SRC.parent.parent / "bench"
 
 
-def _unused_imports(path: Path) -> list[str]:
+def _imports(path: Path, exempt: bool):
+    """(name, line) of each name the module imports, from the statements
+    that carry `# noqa: F401` if `exempt`, else from the others."""
     source = path.read_text(encoding="utf-8")
     lines = source.splitlines()
-    tree = ast.parse(source)
-    imported = {}
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(source)):
         if not isinstance(node, (ast.Import, ast.ImportFrom)):
             continue
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
-        if any("# noqa: F401" in ln for ln in lines[node.lineno - 1:node.end_lineno]):
+        if exempt != any("# noqa: F401" in ln
+                         for ln in lines[node.lineno - 1:node.end_lineno]):
             continue
         for alias in node.names:
-            name = alias.asname or alias.name.split(".")[0]
-            imported[name] = node.lineno
+            yield alias.asname or alias.name.split(".")[0], node.lineno
+
+
+def _unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = dict(_imports(path, exempt=False))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [f"{path.name}:{line}: {name}" for name, line in sorted(imported.items())
             if name not in used]
@@ -40,6 +48,17 @@ def _unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert _unused_imports(path) == []
+
+
+def test_every_shim_has_a_user_in_bench():
+    # Outside __init__.py, an exempt import is a shim kept so that bench/
+    # finds a name on a module; once no bench file names it, it goes.
+    bench_text = "\n".join(p.read_text(encoding="utf-8") for p in sorted(BENCH.glob("*.py")))
+    unused = [f"{path.name}:{line}: {name}"
+              for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"
+              for name, line in _imports(path, exempt=True)
+              if not re.search(rf"\b{name}\b", bench_text)]
+    assert unused == []
 
 
 def _defined_names(node) -> list[str]:
