@@ -13,10 +13,10 @@ from recipe import (
     RecipeDScheme,
     decode_stream,
     derive_apa,
-    replay_xor_set,
+    replay_xor_mask,
     shifted_soliton_sequence,
 )
-from recipe.decoder import PeelingState, peel_insert, replay_xor_mask
+from recipe.decoder import PeelingState, peel_insert
 
 print("=" * 72)
 print("Hash replay: the decoder reconstructs every XOR-set")
@@ -26,7 +26,8 @@ seq = shifted_soliton_sequence(k)
 scheme = RecipeDScheme(derive_apa(seq), seed=99)
 rng = np.random.default_rng(1)
 for pid in rng.integers(0, 2**64, size=4, dtype=np.uint64):
-    hops = sorted(replay_xor_set(int(pid), k, scheme))
+    mask = replay_xor_mask(int(pid), k, scheme)
+    hops = [h + 1 for h in range(k) if mask >> h & 1]
     print(f"  packet 0x{int(pid):016x} -> XOR-set {hops}")
 
 print()

@@ -59,7 +59,7 @@ from .decoder import (  # noqa: F401
     ReceivedCodeword,
     decode_stream,
     peel_insert,
-    replay_xor_set,
+    replay_xor_mask,
 )
 from .search import (  # noqa: F401
     MeanFieldTerms,

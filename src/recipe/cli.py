@@ -1,6 +1,6 @@
 """Single entry-point command line: reproducible experiments end to end.
 
-Subcommands: dist, check, derive-apa, gen-avst, simulate, decode,
+Subcommands: dist <code>, check, derive-apa, gen-avst, simulate, decode,
 search {hrs,qps}, evaluate, compare.  Structured artifacts are JSON, curves
 are CSV, only the action table is binary.  Every `-o` output gets a sidecar
 <name>.manifest.json recording the exact command, seeds, input digests,
@@ -25,7 +25,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .decoder import ReceivedCodeword, decode_stream, replay_xor_mask, replay_xor_set
+from .decoder import ReceivedCodeword, decode_stream, replay_xor_mask
 from .distributions import (
     PintParams,
     expand_invariant,
@@ -131,36 +131,32 @@ def _emit(args, text: str, inputs: list[str]) -> None:
 # Subcommand implementations.
 
 
+# Each `dist` code: how it makes its text, and the float flags it reads
+# besides --K (flag, default, help).
+_DIST = {
+    "shifted-soliton": (lambda a: sequence_to_json(shifted_soliton_sequence(a.K)), ()),
+    "ideal-soliton": (lambda a: sequence_to_json(ideal_soliton_sequence(a.K)), ()),
+    "pint": (lambda a: sequence_to_json(pint_sequence(a.K, PintParams(a.alpha, a.p))),
+             (("--alpha", 0.5, "mixture weight"), ("--p", 0.1, "per-hop XOR probability"))),
+    "robust-soliton": (lambda a: xdd_to_json(robust_soliton(a.K, a.c, a.delta)),
+                       (("--c", 0.1, "shape"), ("--delta", 0.5, "failure bound"))),
+    "invariant": (lambda a: sequence_to_json(expand_invariant(read_xdd(a.source))), ()),
+}
+
+
 def _cmd_dist(args) -> int:
-    kind = args.kind
-    if kind == "shifted-soliton":
-        text = sequence_to_json(shifted_soliton_sequence(args.K))
-    elif kind == "ideal-soliton":
-        text = sequence_to_json(ideal_soliton_sequence(args.K))
-    elif kind == "pint":
-        text = sequence_to_json(pint_sequence(args.K, PintParams(args.alpha, args.p)))
-    elif kind == "robust-soliton":
-        text = xdd_to_json(robust_soliton(args.K, args.c, args.delta))
-    elif kind == "invariant":
-        if not args.source:
-            raise RangeError("`dist invariant` needs --from <single-xdd.json>")
-        text = sequence_to_json(expand_invariant(read_xdd(args.source)))
-    else:  # pragma: no cover - argparse restricts choices
-        raise RangeError(f"unknown distribution {kind}")
-    _emit(args, text, [args.source] if kind == "invariant" else [])
+    source = getattr(args, "source", None)
+    _emit(args, _DIST[args.kind][0](args), [source] if source else [])
     return EXIT_OK
 
 
 def _cmd_check(args) -> int:
     seq = read_sequence(args.sequence)
     report = check_feasible(seq)
-    if report.feasible:
-        print(f"feasible: K={seq.K}, all {seq.K * (seq.K - 1) // 2} constraints hold")
-        return EXIT_OK
-    print(f"infeasible: {len(report.violations)} violated constraint(s)")
-    for v in report.violations:
-        print(f"  i={v.i} d={v.d}: q_(i-1)(d)={v.lhs:.12g} < q_i(d)+q_i(d+1)={v.rhs:.12g}")
-    return EXIT_VALIDATION
+    if not report.feasible:
+        raise InfeasibleSequenceError(report)
+    print(f"feasible: K={seq.K}, all {seq.K * (seq.K - 1) // 2} constraints hold")
+    return EXIT_OK
 
 
 def _cmd_derive_apa(args) -> int:
@@ -202,7 +198,8 @@ def _cmd_simulate(args) -> int:
             nu = "" if table is not None else f"nu={hash_uniform(scheme.gh, i, pid):.6f} "
             print(f"  hop {i}: {nu}action={ACTION_NAMES[action]} "
                   f"codeword={codeword:#x} d={degree}")
-        replayed = sorted(replay_xor_set(pid, args.k, scheme))
+        mask = replay_xor_mask(pid, args.k, scheme)
+        replayed = [h + 1 for h in range(args.k) if mask >> h & 1]
         print(f"  delivered codeword={codeword:#x}; replayed XOR-set={replayed}")
     return EXIT_OK
 
@@ -224,6 +221,8 @@ def _cmd_decode(args) -> int:
                                         f"got {pid!r} and {value!r}")
                     if value < 0:  # an XOR of switch IDs, which are nonnegative
                         raise ValueError(f"codeword must be nonnegative, got {value}")
+                    if not 0 <= pid < 2**64:  # replay reads ids mod 2^64: -1 is 2^64-1
+                        raise ValueError(f"packet_id must be in [0, 2^64), got {pid}")
                     yield pid, value
 
     stream = (ReceivedCodeword(pid, args.k, value, replay_xor_mask(pid, args.k, scheme))
@@ -323,16 +322,17 @@ def _build_parser() -> _Parser:
                            help=threads_help + " (default: CPU count)")
 
     p = sub.add_parser("dist", help="emit a named distribution or sequence")
-    p.add_argument("kind", choices=["shifted-soliton", "ideal-soliton", "pint",
-                                    "robust-soliton", "invariant"])
-    p.add_argument("--K", type=int, default=8, help="diameter / block size")
-    p.add_argument("--alpha", type=float, default=0.5, help="pint mixture weight")
-    p.add_argument("--p", type=float, default=0.1, help="pint per-hop XOR probability")
-    p.add_argument("--c", type=float, default=0.1, help="robust soliton shape")
-    p.add_argument("--delta", type=float, default=0.5, help="robust soliton failure bound")
-    p.add_argument("--from", dest="source", help="single-XDD JSON for `invariant`")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_dist)
+    codes = p.add_subparsers(dest="kind", required=True)
+    for kind, (_, floats) in _DIST.items():
+        c = codes.add_parser(kind)
+        if kind == "invariant":
+            c.add_argument("--from", dest="source", required=True, help="single-XDD JSON")
+        else:
+            c.add_argument("--K", type=int, default=8, help="diameter / block size")
+        for flag, default, help_ in floats:
+            c.add_argument(flag, type=float, default=default, help=help_)
+        c.add_argument("-o", "--output")
+        c.set_defaults(func=_cmd_dist)
 
     p = sub.add_parser("check", help="feasibility-check a sequence file")
     p.add_argument("sequence")
@@ -429,18 +429,15 @@ def main(argv=None) -> int:
         args.seed %= 2**64  # as the keyed hash reads it; numpy's generators need it
     try:
         return args.func(args)
-    except (InfeasibleSequenceError, SequenceValidationError) as exc:
-        if isinstance(exc, InfeasibleSequenceError):
-            print("infeasible sequence:")
-            for v in exc.report.violations:
-                print(f"  i={v.i} d={v.d}: {v.lhs:.12g} < {v.rhs:.12g}")
-        else:
-            print(f"validation error: {exc}", file=sys.stderr)
+    except InfeasibleSequenceError as exc:
+        print(f"infeasible: {len(exc.report.violations)} violated constraint(s)")
+        for v in exc.report.violations:
+            print(f"  i={v.i} d={v.d}: q_(i-1)(d)={v.lhs:.12g} < q_i(d)+q_i(d+1)={v.rhs:.12g}")
         return EXIT_VALIDATION
-    except RecipeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except OSError as exc:
+    except SequenceValidationError as exc:
+        print(f"validation error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except (RecipeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -8,7 +8,7 @@ feed an incremental peeling decoder: any codeword reduced to a single
 unknown member resolves that hop and cascades.
 
 XOR-sets are carried as integer bitmasks (bit h-1 set means hop h is in
-the set); `hops_from_mask` turns one into hop indices for display.
+the set) at every boundary.
 
 The per-hop rules replayed here are those of the protocol objects in
 `recipe.protocol`: `replay_xor_mask` calls one object's `replay`.
@@ -31,15 +31,6 @@ from .protocol import (  # noqa: F401
 )
 
 
-def hops_from_mask(mask: int) -> frozenset[int]:
-    hops = []
-    while mask:
-        low = mask & -mask
-        hops.append(low.bit_length())
-        mask ^= low
-    return frozenset(hops)
-
-
 def replay_xor_mask(packet_id: int, k: int, mode) -> int:
     """Reconstruct the XOR-set (as a bitmask) of one delivered codeword.
 
@@ -50,11 +41,6 @@ def replay_xor_mask(packet_id: int, k: int, mode) -> int:
     except AttributeError:
         raise ConfigurationError(f"unknown decode mode {mode!r}") from None
     return replay(packet_id, k)
-
-
-def replay_xor_set(packet_id: int, k: int, mode) -> frozenset[int]:
-    """The hop indices XORed into the codeword of one delivered packet."""
-    return hops_from_mask(replay_xor_mask(packet_id, k, mode))
 
 
 class ReceivedCodeword(NamedTuple):

@@ -524,8 +524,9 @@ class Avst:
         rows = np.asarray(self.rows, dtype=np.uint8)
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
-        if self.L < 1:
-            raise RangeError(f"table must have at least one row, got L={self.L}")
+        if self.L < 1 or self.K < 1:
+            raise RangeError(f"table needs at least one row and one hop, got "
+                             f"L={self.L}, K={self.K}")
         if rows.shape != (self.L, self.K):
             raise RangeError(f"rows shape {rows.shape} != (L={self.L}, K={self.K})")
         if (rows > REPLACE).any():

@@ -1,9 +1,12 @@
+import hashlib
 import json
 import random
+import shlex
+from pathlib import Path
 
 import pytest
 
-from recipe.cli import main
+from recipe.cli import _build_parser, main
 from recipe.decoder import replay_xor_mask
 from recipe.evaluation import CSV_HEADER, RecipeDScheme
 from recipe.feasibility import derive_apa, read_apa
@@ -48,6 +51,43 @@ def test_check_feasible_and_infeasible(tmp_path, capsys):
     assert "i=3 d=1" in out
 
 
+# Each `dist` code's own flags; every other one is a usage error.
+_DIST_FLAGS = {"--K": "3", "--alpha": "0.9", "--p": "0.2", "--c": "5", "--delta": "0.4",
+               "--from": "mu.json"}
+_DIST_READS = {"shifted-soliton": {"--K"}, "ideal-soliton": {"--K"},
+               "pint": {"--K", "--alpha", "--p"}, "robust-soliton": {"--K", "--c", "--delta"},
+               "invariant": {"--from"}}
+
+
+@pytest.mark.parametrize("kind, flag", [
+    (kind, flag) for kind, reads in _DIST_READS.items() for flag in _DIST_FLAGS
+    if flag not in reads])
+def test_dist_code_refuses_flags_it_does_not_read(capsys, kind, flag):
+    required = ["--from", "mu.json"] if kind == "invariant" else []
+    code, out, err = run_cli(capsys, "dist", kind, *required, flag, _DIST_FLAGS[flag])
+    assert code == 1
+    assert out == "" and "unrecognized arguments" in err
+
+
+def test_dist_invariant_without_from_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "dist", "invariant")
+    assert code == 1
+    assert out == "" and "--from" in err
+
+
+# SHA-256 of stdout, recorded before `dist` had one sub-command per code.
+@pytest.mark.parametrize("argv, digest", [
+    (["pint", "--K", "6", "--alpha", "0.3", "--p", "0.2"],
+     "497dd39c85f589c56348d63a0e3de777700696ebaf7c0a057271df6d10a2cf4d"),
+    (["ideal-soliton", "--K", "5"],
+     "06953766c24629fc829ea0f6eb01baf07881261ede28d6453621eb24c458033e"),
+], ids=["pint", "ideal-soliton"])
+def test_dist_stdout_is_pinned(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, "dist", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_derive_apa_roundtrip(tmp_path, capsys):
     ss = tmp_path / "ss.json"
     run_cli(capsys, "dist", "shifted-soliton", "--K", "3", "-o", str(ss))
@@ -64,6 +104,19 @@ def test_derive_apa_infeasible_exit_2(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "derive-apa", str(ideal), "-o", str(tmp_path / "x.json"))
     assert code == 2
     assert "infeasible" in out
+
+
+def test_infeasible_verdict_prints_one_way(tmp_path, capsys):
+    ideal = tmp_path / "ideal.json"
+    run_cli(capsys, "dist", "ideal-soliton", "--K", "6", "-o", str(ideal))
+    code, checked, _ = run_cli(capsys, "check", str(ideal))
+    assert code == 2
+    code, derived, _ = run_cli(capsys, "derive-apa", str(ideal), "-o", str(tmp_path / "x.json"))
+    assert code == 2
+    assert derived == checked
+    lines = checked.splitlines()
+    assert lines[0] == f"infeasible: {len(lines) - 1} violated constraint(s)"
+    assert len(lines) > 2 and all(" < q_i(d)+q_i(d+1)=" in line for line in lines[1:])
 
 
 def test_check_and_derive_apa_agree_past_a_facet(tmp_path, capsys):
@@ -377,13 +430,17 @@ def test_compare_joins_curves(tmp_path, capsys):
             "--seed", "1", "--label", "one", "-o", str(a))
     b = tmp_path / "b.csv"
     run_cli(capsys, "evaluate", "--pint-alpha", "0.5", "--pint-p", "0.2", "--K", "3",
-            "--trials", "100", "--seed", "1", "--label", "two", "-o", str(b))
+            "--ks", "1,3", "--trials", "100", "--seed", "1", "--label", "two", "-o", str(b))
     joined = tmp_path / "joined.csv"
     code, _, _ = run_cli(capsys, "compare", str(a), str(b), "-o", str(joined))
     assert code == 0
     lines = joined.read_text().splitlines()
     assert lines[0] == "k,one:mean,one:q99,two:mean,two:q99"
     assert len(lines) == 4
+    cells = [line.split(",") for line in lines[1:]]
+    assert [row[0] for row in cells] == ["1", "2", "3"]
+    assert cells[1][3:] == ["", ""]  # curve two has no k=2 point
+    assert all(cell for row in (cells[0], cells[2]) for cell in row)
 
 
 def test_usage_errors_exit_1(capsys):
@@ -457,6 +514,11 @@ _PINT = ["--pint-alpha", "0.5", "--pint-p", "0.2"]
     pytest.param('{"packet_id": 3, "codeword": -7}\n{"packet_id": 4, "codeword": -7}\n',
                  ["decode", "--pint-alpha", "1", "--pint-p", ".2", "--k", "1", "--in", "{f}"], 2,
                  id="decode-negative-codeword"),
+    pytest.param('{"packet_id": -1, "codeword": 3}\n',
+                 ["decode", *_PINT, "--k", "2", "--in", "{f}"], 2, id="decode-negative-packet-id"),
+    pytest.param('{"packet_id": 18446744073709551616, "codeword": 3}\n',
+                 ["decode", *_PINT, "--k", "2", "--in", "{f}"], 2,
+                 id="decode-packet-id-2-to-the-64"),
     pytest.param(_NOT_UTF8, ["check", "{f}"], 2, id="check-not-utf8"),
     pytest.param(_NOT_UTF8, ["dist", "invariant", "--from", "{f}"], 2,
                  id="dist-invariant-not-utf8"),
@@ -512,3 +574,16 @@ def test_non_integer_seed_env_is_one_usage_error_line(capsys, monkeypatch):
                              "--k", "2")
     assert code == 1
     assert out == "" and len(err.splitlines()) == 1 and "RECIPE_SEED" in err
+
+
+def test_readme_cli_examples_parse():
+    # Each `recipe ...` line of README's CLI section parses; nothing runs.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    examples = [line for line in section.splitlines() if line.startswith("recipe ")]
+    assert len(examples) >= 16
+    for line in examples:
+        try:
+            _build_parser().parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")

@@ -12,10 +12,8 @@ from recipe.decoder import (
     RecipeDMode,
     RecipeTMode,
     decode_stream,
-    hops_from_mask,
     peel_insert,
     replay_xor_mask,
-    replay_xor_set,
 )
 from recipe.distributions import PintParams, expand_invariant, shifted_soliton_sequence
 from recipe.errors import ConfigurationError, DataCorruptionError, ProtocolError, RangeError
@@ -45,19 +43,14 @@ from recipe.protocol import (
 from oracles import two_hop_expected_used
 
 
-def test_mask_set_round_trip():
-    assert hops_from_mask(0b101) == frozenset({1, 3})
-    assert hops_from_mask(0) == frozenset()
-
-
 def test_replay_recipe_t_forced_rows():
     digest = "00" * 32
     row = np.array([[REPLACE, ADD, ADD]], dtype=np.uint8)
     scheme = RecipeTScheme(Avst(1, 3, row, 0, digest), seed=3)
-    assert replay_xor_set(12345, 3, scheme) == frozenset({1, 2, 3})
+    assert replay_xor_mask(12345, 3, scheme) == 0b111
     row2 = np.array([[REPLACE, SKIP, REPLACE]], dtype=np.uint8)
     scheme2 = RecipeTScheme(Avst(1, 3, row2, 0, digest), seed=3)
-    assert replay_xor_set(12345, 3, scheme2) == frozenset({3})
+    assert replay_xor_mask(12345, 3, scheme2) == 0b100
 
 
 def test_replay_recipe_t_matches_table_steps():
@@ -141,8 +134,9 @@ def test_replay_matches_bulk_generators_all_modes(k, capped):
             assert mask == replay_xor_mask(pid, k, scheme)
             if step is None:
                 expected = 0
-                for h in hops_from_mask(mask):
-                    expected ^= int(switch_ids[h - 1])
+                for h in range(k):
+                    if mask >> h & 1:
+                        expected ^= int(switch_ids[h])
             else:
                 assert _fold(step, table, scheme.gh, pid, bits) == mask
                 expected = _fold(step, table, scheme.gh, pid, switch_ids.tolist())
@@ -220,9 +214,9 @@ def test_replay_reservoir_branch_is_single_uniformish_hop():
     rng = np.random.default_rng(3)
     counts = np.zeros(k)
     for pid in rng.integers(0, 2**64, size=20000, dtype=np.uint64):
-        s = replay_xor_set(int(pid), k, scheme)
-        assert len(s) == 1
-        counts[next(iter(s)) - 1] += 1
+        mask = replay_xor_mask(int(pid), k, scheme)
+        assert mask and not mask & (mask - 1)
+        counts[mask.bit_length() - 1] += 1
     freqs = counts / counts.sum()
     assert np.abs(freqs - 1 / k).max() < 4 * np.sqrt((1 / k) * (1 - 1 / k) / 20000)
 
@@ -321,6 +315,23 @@ def test_peel_inconsistent_resolution_raises():
     peel_insert(state, ReceivedCodeword(1, 2, 5, 0b1))
     with pytest.raises(DataCorruptionError):
         peel_insert(state, ReceivedCodeword(2, 2, 7, 0b1))
+
+
+@pytest.mark.parametrize("flip", [1, 0], ids=["corrupt", "clean"])
+def test_cascade_refuses_a_hop_resolved_twice(flip):
+    # {2} resolves hop 2; its cascade derives hop 1 from {1,2} and hop 3
+    # from {2,3}, and hop 3's derives hop 1 again from {1,3}.  A flipped
+    # bit in {1,2} makes the two values of hop 1 disagree.
+    a, b, c = 0xA1, 0xB2, 0xC3
+    state = PeelingState(3)
+    for mask, value in ((0b011, a ^ b ^ flip), (0b101, a ^ c), (0b110, b ^ c)):
+        assert state.insert(mask, value) == []
+    if flip:
+        with pytest.raises(DataCorruptionError, match="resolved to two different values"):
+            state.insert(0b010, b)
+    else:
+        assert sorted(state.insert(0b010, b)) == [1, 2, 3]
+        assert state.resolved == {1: a, 2: b, 3: c}
 
 
 def test_peel_path_length_mismatch():

@@ -17,6 +17,7 @@ from recipe.protocol import (
     GlobalHash,
     Packet,
     PintScheme,
+    _HEADER,
     _SLAB_CELLS,
     _choose_action,
     generate_avst,
@@ -374,4 +375,25 @@ def test_read_avst_rejects_garbage(tmp_path):
     path = tmp_path / "bad.avst"
     path.write_bytes(b"not a table")
     with pytest.raises(ConfigurationError):
+        read_avst(path)
+
+
+# (header fields to change, payload edit, error) on a valid L=3, K=4 table.
+@pytest.mark.parametrize("fields, payload, error", [
+    pytest.param({"version": 2}, None, ConfigurationError, id="version-2"),
+    pytest.param({}, lambda body: body[:-1], ConfigurationError, id="truncated-payload"),
+    pytest.param({}, lambda body: body + b"\0", ConfigurationError, id="extra-byte"),
+    pytest.param({"L": 0}, lambda body: b"", RangeError, id="L-0"),
+    pytest.param({"K": 0}, lambda body: b"", RangeError, id="K-0"),
+])
+def test_read_avst_rejects_bad_header_or_payload(tmp_path, fields, payload, error):
+    path = tmp_path / "t.avst"
+    write_avst(generate_avst(derive_apa(shifted_soliton_sequence(4)), 3, seed=1), path)
+    blob = path.read_bytes()
+    header = dict(zip(("magic", "version", "K", "L", "seed", "digest"),
+                      _HEADER.unpack_from(blob)))
+    header.update(fields)
+    body = blob[_HEADER.size:]
+    path.write_bytes(_HEADER.pack(*header.values()) + (payload(body) if payload else body))
+    with pytest.raises(error):
         read_avst(path)
