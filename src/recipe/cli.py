@@ -332,23 +332,23 @@ def _build_parser() -> _Parser:
         for flag, default, help_ in floats:
             c.add_argument(flag, type=float, default=default, help=help_)
         c.add_argument("-o", "--output")
-        c.set_defaults(func=_cmd_dist)
+        c.set_defaults(func=_cmd_dist, parser=c)
 
     p = sub.add_parser("check", help="feasibility-check a sequence file")
     p.add_argument("sequence")
-    p.set_defaults(func=_cmd_check)
+    p.set_defaults(func=_cmd_check, parser=p)
 
     p = sub.add_parser("derive-apa", help="derive action probabilities from a sequence")
     p.add_argument("sequence")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=_cmd_derive_apa)
+    p.set_defaults(func=_cmd_derive_apa, parser=p)
 
     p = sub.add_parser("gen-avst", help="sample an action vector table from an APA")
     p.add_argument("--apa", required=True)
     p.add_argument("--L", type=int, default=30000)
     p.add_argument("-o", "--output", required=True)
     add_common(p)
-    p.set_defaults(func=_cmd_gen_avst)
+    p.set_defaults(func=_cmd_gen_avst, parser=p)
 
     def add_scheme_flags(p):
         p.add_argument("--seq", help="sequence JSON (degree-based mode)")
@@ -362,7 +362,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--packets", type=int, default=5)
     add_common(p)
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(func=_cmd_simulate, parser=p)
 
     p = sub.add_parser("decode", help="decode a JSONL codeword stream")
     add_scheme_flags(p)
@@ -370,7 +370,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--in", dest="input", required=True,
                    help="one {\"packet_id\":..,\"codeword\":..} per line")
     add_common(p)
-    p.set_defaults(func=_cmd_decode)
+    p.set_defaults(func=_cmd_decode, parser=p)
 
     p = sub.add_parser("search", help="search for a high-efficiency code")
     algorithms = p.add_subparsers(dest="algorithm", required=True)
@@ -378,13 +378,13 @@ def _build_parser() -> _Parser:
     hrs.add_argument("--candidates", type=int, default=1000, help="candidates scored per hop")
     hrs.add_argument("--trials", type=int, default=2000, help="simulated trials per candidate")
     hrs.add_argument("--start", help="single-XDD JSON of the final hop (default: Robust Soliton)")
-    hrs.set_defaults(func=_cmd_search_hrs)
+    hrs.set_defaults(func=_cmd_search_hrs, parser=hrs)
     qps = algorithms.add_parser("qps", help="multi-start descent on the mean-field objective")
     qps.add_argument("--restarts", type=int, default=8,
                      help="random starts besides the fixed four")
     qps.add_argument("--second-order", action="store_true",
                      help="correct the objective for release collisions")
-    qps.set_defaults(func=_cmd_search_qps)
+    qps.set_defaults(func=_cmd_search_qps, parser=qps)
     for p, threads_help in ((hrs, "ignored: hrs runs in one process"),
                             (qps, "worker processes for the starts")):
         p.add_argument("--K", type=int, required=True)
@@ -401,12 +401,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--label")
     p.add_argument("-o", "--output")
     add_common(p, threads_help="worker processes, each running one path length")
-    p.set_defaults(func=_cmd_evaluate)
+    p.set_defaults(func=_cmd_evaluate, parser=p)
 
     p = sub.add_parser("compare", help="join curve CSVs on k for plotting")
     p.add_argument("curves", nargs="+")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_compare)
+    p.set_defaults(func=_cmd_compare, parser=p)
 
     return parser
 
@@ -414,7 +414,11 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        # Leftover arguments are reported by the sub-command's own parser,
+        # so its usage line, not the root's, shows what it takes.
+        args, extras = parser.parse_known_args(argv)
+        if extras:
+            args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_OK
     args.argv = sys.argv[1:] if argv is None else list(argv)

@@ -71,8 +71,8 @@ def robust_soliton(k: int, c: float = 0.1, delta: float = 0.5) -> Xdd:
     """
     if k < 1:
         raise RangeError(f"block size must be positive, got k={k}")
-    if c <= 0:
-        raise RangeError(f"shape parameter must be positive, got c={c}")
+    if not 0.0 < c < math.inf:  # also refuses NaN
+        raise RangeError(f"shape parameter must be positive and finite, got c={c}")
     if not 0.0 < delta < 1.0:
         raise RangeError(f"failure probability must be in (0,1), got delta={delta}")
     if k == 1:

@@ -320,12 +320,12 @@ def _qps_descend(mass: np.ndarray, K: int, second_order: bool, tag: int):
         while lr > 1e-16:
             dy = _project_weighted_simplex(delta - lr * gd, w)
             y = _mass_from_delta(dy)
-            fy, _, _ = _mean_field_values(y, K, second_order)
+            fy, terms, ranks = _mean_field_values(y, K, second_order)
             if fy < f - 1e-13:
                 # Trial steps are scored by value; the gradient is taken
-                # only where the descent moves.
+                # only where the descent moves, from that step's value pass.
                 delta, x, f = dy, y, fy
-                gd = _grad_to_delta(_objective_and_grad(y, K, second_order)[1])
+                gd = _grad_to_delta(_mean_field_grad(terms, ranks))
                 lr *= 1.4
                 improved = True
                 break
@@ -461,32 +461,78 @@ class _ScoringBank:
     CDF) and one random hop order (the degree-d XOR-set is the order's
     first d hops, so candidates differing only in degree share sets).
     Incomplete trials score at the bank's cap, pessimistically.
+
+    Every candidate reads the same orders, so two candidates whose degrees
+    on a trial agree up to where one of them stopped peeling also stop
+    there together.  The bank records, per trial, the degree prefix of each
+    distinct stream it peeled, up to its stop; a trial whose degrees start
+    with a recorded prefix scores its length without peeling.  No recorded
+    prefix starts another (the shorter one's stream would have stopped the
+    longer one first), so at most one matches.
     """
 
     def __init__(self, m: int, trials: int, rng):
         self.m = m
         self.trials = trials
         self.cap = max(_BANK_CAP_FACTOR * m, 12)
-        self.u = rng.random((trials, self.cap))
+        # The trials x cap uniforms, kept in increasing order with where
+        # each sits (flat index): a candidate's degrees are then runs in
+        # that order (see score).
+        u = rng.random((trials, self.cap))
+        self.order = np.argsort(u, axis=None)
+        self.sorted_u = u.reshape(-1)[self.order]
         # ranks[t, c, h]: position of hop h in the order, so the degree-d
-        # XOR-set is the hops ranked below d.  Built one trial at a time, so
-        # only one trial's orders and argsort temporaries exist at once;
-        # permuting row blocks in turn draws what one call on all rows would.
+        # XOR-set is the hops ranked below d: each order's inverse, set by
+        # one scatter.  Built one trial at a time, so only one trial's
+        # orders exist at once; permuting row blocks in turn draws what one
+        # call on all rows would.
         base = np.tile(np.arange(m, dtype=np.int16), (self.cap, 1))
+        rows = np.arange(self.cap)[:, None]
         self.ranks = np.empty((trials, self.cap, m), dtype=np.int16)
         for t in range(trials):
-            self.ranks[t] = np.argsort(rng.permuted(base, axis=1), axis=1)
+            self.ranks[t, rows, rng.permuted(base, axis=1)] = base
+        # Per trial, the recorded prefixes: int16 degree bytes.
+        self.prefixes = [[] for _ in range(trials)]
 
     def score(self, mass: np.ndarray) -> float:
-        cdf = np.cumsum(mass)
-        cdf[-1] = 1.0
-        degrees = np.searchsorted(cdf, self.u, side="right") + 1
-        np.clip(degrees, 1, self.m, out=degrees)
-        masks = masks_from_members((self.ranks < degrees[..., None]).reshape(-1, self.m))
+        # A uniform's degree is 1 + the number of CDF values at or below
+        # it (the last, 1, is above them all): in sorted order, a run of 1s,
+        # then of 2s, and so on, scattered back to the uniforms' places.
+        runs = np.diff(np.searchsorted(self.sorted_u, np.cumsum(mass)[:-1]),
+                       prepend=0, append=self.sorted_u.size)
+        degrees = np.empty((self.trials, self.cap), dtype=np.int16)
+        degrees.reshape(-1)[self.order] = np.repeat(
+            np.arange(1, self.m + 1, dtype=np.int16), runs)
+        stride = 2 * self.cap  # bytes of one trial's degrees
+        streams = degrees.tobytes()
         total = 0
-        for t in range(self.trials):
-            trial_masks = masks[t * self.cap:(t + 1) * self.cap]
-            total += PeelingState(self.m).absorb(zip(trial_masks, repeat(0)))
+        peeling = []
+        for t, prefixes in enumerate(self.prefixes):
+            for prefix in prefixes:
+                if streams.startswith(prefix, t * stride):
+                    total += len(prefix) // 2
+                    break
+            else:
+                peeling.append((t, PeelingState(self.m)))
+        # Masks for the trials still peeling only, in blocks ending at 2m
+        # codewords, then at each doubling, up to the cap.
+        lo, hi = 0, 2 * self.m
+        while peeling:
+            hi = min(hi, self.cap)
+            ts = [t for t, _ in peeling]
+            masks = masks_from_members(
+                (self.ranks[ts, lo:hi] < degrees[ts, lo:hi, None]).reshape(-1, self.m))
+            width = hi - lo
+            going = []
+            for j, (t, state) in enumerate(peeling):
+                used = lo + state.absorb(zip(masks[j * width:(j + 1) * width], repeat(0)))
+                if state.complete or hi == self.cap:
+                    total += used
+                    self.prefixes[t].append(streams[t * stride:t * stride + 2 * used])
+                else:
+                    going.append((t, state))
+            peeling = going
+            lo, hi = hi, 2 * hi
         return total / self.trials
 
 

@@ -181,7 +181,7 @@ def read_text(path, what: str, error: type = SequenceValidationError) -> str:
 def sequence_to_json(seq: XddSequence) -> str:
     rows = []
     for xdd in seq.xdds:
-        rows.append("[" + ", ".join(format(v, ".17g") for v in xdd.mass) + "]")
+        rows.append("[" + ", ".join(format(v, ".17g") for v in xdd.mass.tolist()) + "]")
     body = ",\n    ".join(rows)
     return '{\n  "K": %d,\n  "mu": [\n    %s\n  ]\n}\n' % (seq.K, body)
 

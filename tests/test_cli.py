@@ -67,12 +67,21 @@ def test_dist_code_refuses_flags_it_does_not_read(capsys, kind, flag):
     code, out, err = run_cli(capsys, "dist", kind, *required, flag, _DIST_FLAGS[flag])
     assert code == 1
     assert out == "" and "unrecognized arguments" in err
+    assert err.startswith(f"usage: recipe dist {kind} ")  # the code's own flags
 
 
 def test_dist_invariant_without_from_is_a_usage_error(capsys):
     code, out, err = run_cli(capsys, "dist", "invariant")
     assert code == 1
     assert out == "" and "--from" in err
+
+
+@pytest.mark.parametrize("c", ["-1", "nan", "inf"])
+def test_dist_robust_soliton_refuses_a_shape_not_positive_and_finite(capsys, c):
+    code, out, err = run_cli(capsys, "dist", "robust-soliton", "--K", "3", "--c", c)
+    assert code == 3
+    assert out == "" and err.splitlines() == [
+        f"error: shape parameter must be positive and finite, got c={float(c)}"]
 
 
 # SHA-256 of stdout, recorded before `dist` had one sub-command per code.
@@ -369,6 +378,7 @@ def test_search_refuses_the_other_algorithms_flags(tmp_path, capsys, argv):
     code, stdout, err = run_cli(capsys, "search", *argv, "--K", "3", "-o", str(out))
     assert code == 1
     assert stdout == "" and "unrecognized arguments" in err
+    assert err.startswith(f"usage: recipe search {argv[0]} ")
     assert list(tmp_path.iterdir()) == []
 
 

@@ -76,8 +76,9 @@ def test_robust_soliton_always_valid():
 def test_robust_soliton_param_errors():
     with pytest.raises(RangeError):
         robust_soliton(0)
-    with pytest.raises(RangeError):
-        robust_soliton(5, c=0.0)
+    for c in (0.0, float("nan"), float("inf")):
+        with pytest.raises(RangeError):
+            robust_soliton(5, c=c)
     with pytest.raises(RangeError):
         robust_soliton(5, delta=1.0)
 

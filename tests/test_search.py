@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from recipe import search
+from recipe.decoder import PeelingState
 from recipe.distributions import shifted_soliton
 from recipe.errors import RangeError
 from recipe.feasibility import check_feasible, check_invariant_feasible, _rhs_mu
@@ -221,6 +222,62 @@ def test_hrs_rejects_wrong_start_size():
         hrs_search(3, mu_K=Xdd(2, [0.5, 0.5]))
 
 
+def _bank_reference_score(bank, mass):
+    """Every trial peeled from the bank's uniforms and orders with its own
+    state, recording nothing: the scoring rule with no reuse."""
+    cdf = np.cumsum(mass)
+    u = np.empty(bank.sorted_u.size)
+    u[bank.order] = bank.sorted_u
+    total = 0
+    for u_row, ranks in zip(u.reshape(bank.trials, bank.cap), bank.ranks):
+        state = PeelingState(bank.m)
+        for v, rank in zip(u_row.tolist(), ranks.tolist()):
+            degree = 1 + sum(c <= v for c in cdf[:-1].tolist())  # cdf[-1] is above every u
+            state.insert(sum(1 << h for h, r in enumerate(rank) if r < degree), 0)
+            total += 1
+            if state.complete:
+                break
+    return total / bank.trials
+
+
+def test_scoring_bank_reuse_matches_peeling_every_trial(monkeypatch):
+    m, trials = 8, 40
+    bank = search._ScoringBank(m, trials, np.random.default_rng(17))
+    slack = list(sample_feasible_predecessors(shifted_soliton(m + 1), 10,
+                                              np.random.default_rng(2)))
+    top = np.zeros(m)
+    top[-1] = 1.0  # every codeword is the full set: all trials end at the cap
+    cands = slack[:6] + [slack[3]] + slack[6:] + [top]
+    absorbed = []
+    counted = PeelingState.absorb
+
+    def counting(self, codewords):
+        absorbed.append(self)
+        return counted(self, codewords)
+
+    monkeypatch.setattr(PeelingState, "absorb", counting)
+    peeled = []
+    for mass in cands:
+        want = _bank_reference_score(bank, mass)  # calls insert, not absorb
+        del absorbed[:]
+        assert bank.score(mass) == want
+        peeled.append(len({id(state) for state in absorbed}))
+    assert peeled[0] == trials
+    assert sum(peeled[1:-1]) < (len(cands) - 2) * trials // 2  # slack draws share prefixes
+    assert peeled[6] == 0  # scored before: every trial reuses a recorded count
+    assert peeled[-1] == trials and want == bank.cap
+
+
+def test_scoring_bank_ranks_invert_the_drawn_orders():
+    m, trials = 5, 7
+    bank = search._ScoringBank(m, trials, np.random.default_rng(9))
+    rng = np.random.default_rng(9)
+    assert np.array_equal(rng.random((trials, bank.cap)).reshape(-1)[bank.order], bank.sorted_u)
+    base = np.tile(np.arange(m, dtype=np.int16), (bank.cap, 1))
+    for t in range(trials):
+        assert np.array_equal(np.argsort(rng.permuted(base, axis=1), axis=1), bank.ranks[t])
+
+
 def test_qps_k1():
     seq = qps_search(1)
     assert seq.K == 1 and list(seq.xdd(1).mass) == [1.0]
@@ -256,13 +313,13 @@ def test_qps_gradient_only_on_accepted_steps(monkeypatch):
     # trace row per iteration, its last one the non-improving iteration
     # that stops it, so the gradients and the rows are equally many.
     calls = []
-    counted = search._objective_and_grad
+    counted = search._mean_field_grad
 
     def counting(*args):
         calls.append(args)
         return counted(*args)
 
-    monkeypatch.setattr(search, "_objective_and_grad", counting)
+    monkeypatch.setattr(search, "_mean_field_grad", counting)
     rows = []
     qps_search(30, restarts=2, seed=8, trace=rows)
     assert max(it for _, it, _ in rows) < 1999  # no start ran out of iterations
