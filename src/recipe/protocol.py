@@ -59,6 +59,9 @@ PINT_BRANCH_HOP = 0
 # Packet x hop cells that PintScheme.actions hashes per call: enough to amortize
 # numpy's per-call cost, few enough that a slab's temporaries stay in cache.
 _SLAB_CELLS = 1 << 16
+# Table cells that generate_avst samples per call of the batch walk: the
+# walk's per-packet temporaries stay a fraction of the table itself.
+_AVST_BLOCK_CELLS = 1 << 20
 
 AVST_MAGIC = b"AVST"
 AVST_VERSION = 1
@@ -529,7 +532,7 @@ class Avst:
                              f"L={self.L}, K={self.K}")
         if rows.shape != (self.L, self.K):
             raise RangeError(f"rows shape {rows.shape} != (L={self.L}, K={self.K})")
-        if (rows > REPLACE).any():
+        if rows.max() > REPLACE:
             raise ConfigurationError("table contains a reserved action code")
 
     def verify_digest(self, apa: Apa) -> None:
@@ -542,10 +545,17 @@ def generate_avst(apa: Apa, L: int, seed: int) -> Avst:
 
     Row l is the action sequence a hypothetical packet with id l would see
     on a full-diameter path under key `seed`; rows are therefore bit-exactly
-    reproducible from (apa, L, seed).
+    reproducible from (apa, L, seed).  Row l depends on l alone, so the
+    rows are sampled in blocks into the one table array.
     """
+    if L < 1:
+        raise RangeError(f"table needs at least one row and one hop, got L={L}, K={apa.K}")
     scheme = RecipeDScheme(apa, seed)
-    rows = scheme.actions(apa.K, np.arange(L, dtype=np.uint64))
+    rows = np.empty((L, apa.K), dtype=np.uint8)
+    step = max(1, _AVST_BLOCK_CELLS // apa.K)
+    for lo in range(0, L, step):
+        rows[lo:lo + step] = scheme.actions(apa.K, np.arange(lo, min(lo + step, L),
+                                                             dtype=np.uint64))
     return Avst(L, apa.K, rows, scheme.seed, apa.digest())
 
 
@@ -573,7 +583,7 @@ def write_avst(avst: Avst, path) -> None:
     packed = np.zeros((flat.size + 3) // 4, dtype=np.uint8)
     for j in range(4):
         chunk = flat[j::4]
-        packed[: chunk.size] |= (chunk << (2 * j)).astype(np.uint8)
+        packed[: chunk.size] |= chunk << (2 * j)
     header = _HEADER.pack(
         AVST_MAGIC, AVST_VERSION, avst.K, avst.L, avst.seed,
         bytes.fromhex(avst.apa_digest),
@@ -593,9 +603,13 @@ def read_avst(path) -> Avst:
     n = L * K
     if packed.size != (n + 3) // 4:
         raise ConfigurationError("table payload size does not match header")
-    flat = np.empty(n, dtype=np.uint8)
+    # Byte b holds entries 4b..4b+3, two bits each from the lowest up:
+    # unpacked in place, entry 4b+j is fields[b, j].
+    fields = np.empty((packed.size, 4), dtype=np.uint8)
     for j in range(4):
-        chunk = (packed >> (2 * j)) & 0x3
-        take = flat[j::4].size
-        flat[j::4] = chunk[:take]
-    return Avst(L, K, flat.reshape(L, K), seed, digest.hex())
+        np.right_shift(packed, 2 * j, out=fields[:, j])
+    fields &= 3
+    flat = fields.reshape(-1)
+    if flat[n:].any():
+        raise ConfigurationError("table padding after the last action is not zero")
+    return Avst(L, K, flat[:n].reshape(L, K), seed, digest.hex())

@@ -57,6 +57,10 @@ _QPS_MAX_ITERS = 2000
 
 # Codewords per hop that one HRS scoring trial may consume (at least 12).
 _BANK_CAP_FACTOR = 6
+# Rank cells (trials x codewords x hops) that one HRS score turns into masks
+# at a time: each trial's masks are its own, so grouping trials changes no
+# result, and the group's temporaries stay a few MB at any m.
+_SCORE_BLOCK_CELLS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -485,10 +489,11 @@ class _ScoringBank:
         # XOR-set is the hops ranked below d: each order's inverse, set by
         # one scatter.  Built one trial at a time, so only one trial's
         # orders exist at once; permuting row blocks in turn draws what one
-        # call on all rows would.
-        base = np.tile(np.arange(m, dtype=np.int16), (self.cap, 1))
+        # call on all rows would, in any dtype, so ranks take the smallest
+        # that holds m - 1 (uint8 up to m = 256).
+        base = np.tile(np.arange(m, dtype=np.min_scalar_type(m - 1)), (self.cap, 1))
         rows = np.arange(self.cap)[:, None]
-        self.ranks = np.empty((trials, self.cap, m), dtype=np.int16)
+        self.ranks = np.empty((trials, self.cap, m), dtype=base.dtype)
         for t in range(trials):
             self.ranks[t, rows, rng.permuted(base, axis=1)] = base
         # Per trial, the recorded prefixes: int16 degree bytes.
@@ -503,6 +508,9 @@ class _ScoringBank:
         degrees = np.empty((self.trials, self.cap), dtype=np.int16)
         degrees.reshape(-1)[self.order] = np.repeat(
             np.arange(1, self.m + 1, dtype=np.int16), runs)
+        # The degree-d set is the hops ranked at or below d - 1, a bound
+        # that fits the ranks' dtype (comparing within it is the fast path).
+        tops = (degrees - 1).astype(self.ranks.dtype)
         stride = 2 * self.cap  # bytes of one trial's degrees
         streams = degrees.tobytes()
         total = 0
@@ -515,22 +523,26 @@ class _ScoringBank:
             else:
                 peeling.append((t, PeelingState(self.m)))
         # Masks for the trials still peeling only, in blocks ending at 2m
-        # codewords, then at each doubling, up to the cap.
+        # codewords, then at each doubling, up to the cap, and for at most
+        # _SCORE_BLOCK_CELLS rank cells' worth of those trials at a time.
         lo, hi = 0, 2 * self.m
         while peeling:
             hi = min(hi, self.cap)
-            ts = [t for t, _ in peeling]
-            masks = masks_from_members(
-                (self.ranks[ts, lo:hi] < degrees[ts, lo:hi, None]).reshape(-1, self.m))
             width = hi - lo
+            group = max(1, _SCORE_BLOCK_CELLS // (width * self.m))
             going = []
-            for j, (t, state) in enumerate(peeling):
-                used = lo + state.absorb(zip(masks[j * width:(j + 1) * width], repeat(0)))
-                if state.complete or hi == self.cap:
-                    total += used
-                    self.prefixes[t].append(streams[t * stride:t * stride + 2 * used])
-                else:
-                    going.append((t, state))
+            for g in range(0, len(peeling), group):
+                part = peeling[g:g + group]
+                ts = [t for t, _ in part]
+                masks = masks_from_members(
+                    (self.ranks[ts, lo:hi] <= tops[ts, lo:hi, None]).reshape(-1, self.m))
+                for j, (t, state) in enumerate(part):
+                    used = lo + state.absorb(zip(masks[j * width:(j + 1) * width], repeat(0)))
+                    if state.complete or hi == self.cap:
+                        total += used
+                        self.prefixes[t].append(streams[t * stride:t * stride + 2 * used])
+                    else:
+                        going.append((t, state))
             peeling = going
             lo, hi = hi, 2 * hi
         return total / self.trials

@@ -154,6 +154,17 @@ def test_gen_avst(tmp_path, capsys):
     avst.verify_digest(read_apa(apa))
 
 
+@pytest.mark.parametrize("L", ["0", "-1"])
+def test_gen_avst_refuses_a_table_without_rows(tmp_path, capsys, L):
+    ss, apa, table = tmp_path / "ss.json", tmp_path / "apa.json", tmp_path / "t.avst"
+    run_cli(capsys, "dist", "shifted-soliton", "--K", "3", "-o", str(ss))
+    run_cli(capsys, "derive-apa", str(ss), "-o", str(apa))
+    code, out, err = run_cli(capsys, "gen-avst", "--apa", str(apa), "--L", L, "-o", str(table))
+    assert code == 3 and not table.exists()
+    assert out == "" and err.splitlines() == [
+        f"error: table needs at least one row and one hop, got L={L}, K=3"]
+
+
 def test_evaluate_byte_identical_reruns(tmp_path, capsys):
     ss = tmp_path / "ss.json"
     run_cli(capsys, "dist", "shifted-soliton", "--K", "4", "-o", str(ss))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from recipe import protocol
 from recipe.distributions import PintParams, shifted_soliton_sequence
 from recipe.errors import ConfigurationError, ProtocolError, RangeError
 from recipe.feasibility import derive_apa
@@ -326,9 +327,11 @@ def test_step_recipe_t_forced_single_row():
         step_recipe_t(pkt, 1, avst2, gh)
 
 
-def test_avst_file_round_trip(tmp_path):
+# L * K at K=5 is 1, 3, 0 and 2 mod 4: every fill of the last packed byte.
+@pytest.mark.parametrize("L", [1, 3, 4, 1234])
+def test_avst_file_round_trip(tmp_path, L):
     apa = derive_apa(shifted_soliton_sequence(5))
-    avst = generate_avst(apa, 1234, seed=5)
+    avst = generate_avst(apa, L, seed=5)
     path = tmp_path / "table.avst"
     write_avst(avst, path)
     back = read_avst(path)
@@ -336,8 +339,27 @@ def test_avst_file_round_trip(tmp_path):
     assert back.apa_digest == avst.apa_digest
     assert np.array_equal(back.rows, avst.rows)
     # same generation inputs -> byte-identical files
-    write_avst(generate_avst(apa, 1234, seed=5), tmp_path / "again.avst")
+    write_avst(generate_avst(apa, L, seed=5), tmp_path / "again.avst")
     assert (tmp_path / "table.avst").read_bytes() == (tmp_path / "again.avst").read_bytes()
+
+
+def test_avst_rows_do_not_depend_on_the_block_size(monkeypatch):
+    apa = derive_apa(shifted_soliton_sequence(5))
+    whole = generate_avst(apa, 1234, seed=5)
+    for cells in (1, 10, 640):  # 1 row a block (fewer cells than K); 2 rows; 128, uneven
+        monkeypatch.setattr(protocol, "_AVST_BLOCK_CELLS", cells)
+        assert generate_avst(apa, 1234, seed=5).rows.tobytes() == whole.rows.tobytes()
+
+
+def test_avst_nonzero_padding_is_refused(tmp_path):
+    path = tmp_path / "t.avst"
+    write_avst(generate_avst(derive_apa(shifted_soliton_sequence(5)), 3, seed=1), path)
+    read_avst(path)
+    blob = bytearray(path.read_bytes())
+    blob[-1] |= 0b11 << 6  # 15 actions: the last byte's fourth pair is padding
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ConfigurationError, match="padding"):
+        read_avst(path)
 
 
 def test_avst_file_size_is_two_bits_per_action(tmp_path):

@@ -266,6 +266,25 @@ def test_scoring_bank_reuse_matches_peeling_every_trial(monkeypatch):
     assert sum(peeled[1:-1]) < (len(cands) - 2) * trials // 2  # slack draws share prefixes
     assert peeled[6] == 0  # scored before: every trial reuses a recorded count
     assert peeled[-1] == trials and want == bank.cap
+    # Past m = 256 the ranks no longer fit uint8.
+    wide = search._ScoringBank(257, 3, np.random.default_rng(5))
+    assert wide.ranks.dtype == np.uint16
+    mass = sample_feasible_predecessors(shifted_soliton(258), 1, np.random.default_rng(4))[0]
+    assert wide.score(mass) == _bank_reference_score(wide, mass)
+
+
+def test_scoring_bank_scores_do_not_depend_on_the_block_size(monkeypatch):
+    m, trials = 8, 40
+    cands = list(sample_feasible_predecessors(shifted_soliton(m + 1), 6,
+                                              np.random.default_rng(3)))
+    bank = search._ScoringBank(m, trials, np.random.default_rng(17))
+    want = [bank.score(mass) for mass in cands]
+    # One trial per group; then 3 trials per group in the first block of 2m
+    # codewords, with an uneven last group.
+    for cells in (1, 3 * 2 * m * m):
+        monkeypatch.setattr(search, "_SCORE_BLOCK_CELLS", cells)
+        bank = search._ScoringBank(m, trials, np.random.default_rng(17))
+        assert [bank.score(mass) for mass in cands] == want
 
 
 def test_scoring_bank_ranks_invert_the_drawn_orders():
