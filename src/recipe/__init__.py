@@ -35,7 +35,6 @@ from .feasibility import (  # noqa: F401
     FeasibilityReport,
     Violation,
     check_feasible,
-    check_invariant_feasible,
     derive_apa,
     exact_induced_sequence,
     read_apa,

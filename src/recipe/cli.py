@@ -50,8 +50,6 @@ from .evaluation import (
 from .feasibility import check_feasible, derive_apa, read_apa, write_apa
 from .protocol import (
     ACTION_NAMES,
-    ADD,
-    REPLACE,
     PintScheme,
     RecipeDScheme,
     RecipeTScheme,
@@ -193,8 +191,7 @@ def _cmd_simulate(args) -> int:
         actions = scheme.actions(args.k, np.array([pid], dtype=np.uint64))[0]
         codeword, degree = 0, 0
         for i, (action, switch_id) in enumerate(zip(actions.tolist(), switch_ids), start=1):
-            codeword = _apply_action(action, codeword, switch_id)
-            degree = degree + 1 if action == ADD else (1 if action == REPLACE else degree)
+            codeword, degree = _apply_action(action, codeword, degree, switch_id)
             nu = "" if table is not None else f"nu={hash_uniform(scheme.gh, i, pid):.6f} "
             print(f"  hop {i}: {nu}action={ACTION_NAMES[action]} "
                   f"codeword={codeword:#x} d={degree}")

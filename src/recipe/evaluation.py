@@ -210,17 +210,12 @@ def tune_pint(K: int, trials: int = 400, seed: int = 0):
     ps = [j / K for j in range(1, min(K, 11))]
     if not ps:
         raise RangeError(f"the PINT p grid j/K < 1 (j = 1..10) is empty at K={K}")
-    seeds = [derive_seed(seed, tune_k, t) for t in range(trials)]
-    results = []
-    best = None
-    for alpha in alphas:
-        for p in ps:
-            scheme = PintScheme(PintParams(alpha, p), seed=seed)
-            used, _ = run_trials(scheme, tune_k, seeds)
-            mean = float(used.mean())
-            results.append((alpha, p, mean))
-            if best is None or mean < best[2]:
-                best = (alpha, p, mean)
+    if trials < 1:
+        raise RangeError("at least one trial per point is required")
+    results = [(alpha, p, _curve_point(PintScheme(PintParams(alpha, p), seed=seed),
+                                       tune_k, trials, seed).mean)
+               for alpha in alphas for p in ps]
+    best = min(results, key=lambda r: r[2])
     return PintParams(best[0], best[1]), results
 
 

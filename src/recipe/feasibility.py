@@ -42,7 +42,6 @@ from .errors import (
 )
 from .xdd import (
     SUM_TOL_FILE,
-    Xdd,
     XddSequence,
     _atomic_write_bytes,
     malformed,
@@ -101,23 +100,6 @@ def check_feasible(seq: XddSequence) -> FeasibilityReport:
             d = int(idx) + 1
             violations.append(Violation(i, d, float(q_from_mu(lhs[idx], i - 1, d)),
                                         float(q_from_mu(rhs[idx], i - 1, d))))
-    return FeasibilityReport(tuple(violations))
-
-
-def check_invariant_feasible(mu_K: Xdd) -> FeasibilityReport:
-    """Feasibility of the invariant sequence determined by a final-hop XDD.
-
-    The whole chain reduces to mu(d) >= (d+1)/d * mu(d+1) for
-    d = 1..K-2.  Violations are reported in mu-space with i set to d+2,
-    the earliest path length at which the expanded constraint binds.
-    """
-    K = mu_K.k
-    violations = []
-    for d in range(1, K - 1):
-        lhs = mu_K.mu(d)
-        rhs = (d + 1) / d * mu_K.mu(d + 1)
-        if lhs - rhs < -SLACK_TOL:
-            violations.append(Violation(d + 2, d, lhs, rhs))
     return FeasibilityReport(tuple(violations))
 
 

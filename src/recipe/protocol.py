@@ -192,12 +192,13 @@ def _choose_action(triple: tuple[float, float, float], nu: float) -> int:
     return SKIP
 
 
-def _apply_action(action: int, codeword: int, my_id: int) -> int:
+def _apply_action(action: int, codeword: int, degree: int, my_id: int) -> tuple[int, int]:
+    """The (codeword, degree) a packet leaves a switch with."""
     if action == ADD:
-        return codeword ^ my_id
+        return codeword ^ my_id, degree + 1
     if action == REPLACE:
-        return my_id
-    return codeword
+        return my_id, 1
+    return codeword, degree
 
 
 def step_recipe_d(pkt: Packet, my_id: int, apa: Apa, gh: GlobalHash) -> Packet:
@@ -213,13 +214,8 @@ def step_recipe_d(pkt: Packet, my_id: int, apa: Apa, gh: GlobalHash) -> Packet:
     d = pkt.degree_field
     triple = apa.entry(i, d)  # raises ProtocolError on an unreachable entry
     nu = hash_uniform(gh, i, pkt.packet_id)
-    action = _choose_action(triple, nu)
-    return replace(
-        pkt,
-        hop_count=i,
-        codeword=_apply_action(action, pkt.codeword, my_id),
-        degree_field=d + 1 if action == ADD else (1 if action == REPLACE else d),
-    )
+    codeword, degree = _apply_action(_choose_action(triple, nu), pkt.codeword, d, my_id)
+    return replace(pkt, hop_count=i, codeword=codeword, degree_field=degree)
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +563,8 @@ def step_recipe_t(pkt: Packet, my_id: int, avst: Avst, gh: GlobalHash) -> Packet
         raise RangeError(f"hop {i} beyond diameter {avst.K}")
     l = row_select(gh, pkt.packet_id, avst.L)
     action = int(avst.rows[l, i - 1])
-    return replace(pkt, hop_count=i, codeword=_apply_action(action, pkt.codeword, my_id))
+    codeword, _ = _apply_action(action, pkt.codeword, pkt.degree_field, my_id)
+    return replace(pkt, hop_count=i, codeword=codeword)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ collisions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -74,23 +75,19 @@ class MeanFieldTerms:
     s: np.ndarray
 
 
-_COEFF_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _mean_field_coeffs(K: int):
     """Rel[j-1,d-1] and Suc[j-1,d-1] coefficient matrices, log-space built."""
-    if K not in _COEFF_CACHE:
-        rel = np.zeros((K, K))
-        suc = np.zeros((K, K))
-        for j in range(1, K + 1):
-            base = math.log(K - j + 1)
-            for d in range(1, j + 1):
-                lkd = binomial_log(K, d)
-                if d >= 2:
-                    rel[j - 1, d - 1] = math.exp(base + binomial_log(j - 2, d - 2) - lkd)
-                suc[j - 1, d - 1] = math.exp(base + binomial_log(j - 1, d - 1) - lkd)
-        _COEFF_CACHE[K] = (rel, suc)
-    return _COEFF_CACHE[K]
+    rel = np.zeros((K, K))
+    suc = np.zeros((K, K))
+    for j in range(1, K + 1):
+        base = math.log(K - j + 1)
+        for d in range(1, j + 1):
+            lkd = binomial_log(K, d)
+            if d >= 2:
+                rel[j - 1, d - 1] = math.exp(base + binomial_log(j - 2, d - 2) - lkd)
+            suc[j - 1, d - 1] = math.exp(base + binomial_log(j - 1, d - 1) - lkd)
+    return rel, suc
 
 
 def _mean_field_values(mass: np.ndarray, K: int, second_order: bool):
@@ -450,11 +447,12 @@ def _walk_back(mu_K: Xdd, pick) -> XddSequence:
     return sequence_from_masses(list(reversed(masses)))
 
 
-def random_feasible_sequence(K: int, rng, mu_K: Xdd | None = None) -> XddSequence:
-    """A random feasible sequence: random (or given) final-hop XDD, then
-    one uniformly slack-sampled predecessor per hop, backward."""
-    if mu_K is None:
-        mu_K = Xdd(K, rng.dirichlet(np.ones(K)))
+def random_feasible_sequence(K: int, rng) -> XddSequence:
+    """A random feasible sequence: random final-hop XDD, then one uniformly
+    slack-sampled predecessor per hop, backward."""
+    if K < 1:
+        raise RangeError(f"diameter must be positive, got K={K}")
+    mu_K = Xdd(K, rng.dirichlet(np.ones(K)))
     return _walk_back(mu_K, lambda cur: sample_feasible_predecessors(cur, 1, rng)[0])
 
 

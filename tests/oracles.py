@@ -31,6 +31,21 @@ def feasibility_violations_exact(seq):
     return out
 
 
+def invariant_chain_violations_exact(mass):
+    """All d in 1..K-2 where d mu(d) < (d+1) mu(d+1), exactly.
+
+    The invariant sequence of a final-hop XDD mu has mu_i(d) = mu(d) for
+    d < i and the tail t_i = 1 - sum_{d<i} mu(d) at d = i.  In mu-space the
+    constraint at (i, d) reads mu_{i-1}(d) >= mu_i(d) (i-d)/i +
+    mu_i(d+1) (d+1)/i.  For d <= i-2 that is d mu(d) >= (d+1) mu(d+1),
+    which binds for every i >= d+2, so for d = 1..K-2.  For d = i-1 it is
+    t_i + mu(i-1) >= mu(i-1)/i + t_i, always true.  So the sequence is
+    feasible iff the list is empty.
+    """
+    mu = [Fraction(float(m)) for m in mass]
+    return [d for d in range(1, len(mu) - 1) if d * mu[d - 1] < (d + 1) * mu[d]]
+
+
 def apa_triples_exact(seq):
     """Exact-rational action probabilities for every reachable (i, d)."""
     triples = {(1, 0): (Fraction(0), Fraction(0), Fraction(1))}

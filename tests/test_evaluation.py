@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,14 @@ def test_tune_pint_small_grid():
     assert {r[:2] for r in results} == {(round(0.05 * i, 2), j / 6)
                                         for i in range(21) for j in range(1, 6)}
     assert min(r[2] for r in results) == [r for r in results if (r[0], r[1]) == (params.alpha, params.p)][0][2]
+    assert hashlib.sha256(repr((params, results)).encode()).hexdigest() == (
+        "a6cf6be5365b321659daa6aa9939ebacd53606926f9e79194c955b9c84eee667")
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_tune_pint_refuses_fewer_than_one_trial(trials):
+    with pytest.raises(RangeError, match="at least one trial per point is required"):
+        tune_pint(6, trials=trials)
 
 
 @pytest.mark.parametrize("K", [1, 0])

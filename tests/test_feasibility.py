@@ -24,7 +24,6 @@ from recipe.feasibility import (
     apa_from_json,
     apa_to_json,
     check_feasible,
-    check_invariant_feasible,
     derive_apa,
     exact_induced_sequence,
     read_apa,
@@ -38,6 +37,7 @@ from oracles import (
     exact_q,
     feasibility_violations_exact,
     induced_xdds_by_action_vectors,
+    invariant_chain_violations_exact,
     make_violated_sequence,
 )
 
@@ -88,26 +88,43 @@ def test_check_feasible_agrees_with_oracle_on_violations():
         assert got == exact
 
 
-def test_check_invariant_feasible():
+def test_invariant_codes_under_the_full_check():
     for K in (3, 8, 64):
-        assert check_invariant_feasible(shifted_soliton(K)).feasible
-    bad = check_invariant_feasible(Xdd(3, [0.2, 0.8, 0.0]))
+        assert check_feasible(expand_invariant(shifted_soliton(K))).feasible
+    bad = check_feasible(expand_invariant(Xdd(3, [0.2, 0.8, 0.0])))
     assert not bad.feasible
     v = bad.violations[0]
-    assert v.d == 1 and v.lhs == pytest.approx(0.2) and v.rhs == pytest.approx(1.6)
-    # constraint range d <= K-2 is empty at K=2
-    assert check_invariant_feasible(Xdd(2, [0.1, 0.9])).feasible
+    # q-space: q_2(1) = 0.2/2 against q_3(1) + q_3(2) = 0.2/3 + 0.8/3
+    assert (v.i, v.d) == (3, 1)
+    assert v.lhs == pytest.approx(0.1) and v.rhs == pytest.approx(1 / 3)
+    # the chain's range d <= K-2 is empty at K=2
+    assert check_feasible(expand_invariant(Xdd(2, [0.1, 0.9]))).feasible
 
 
 def test_invariant_chain_matches_full_check():
     rng = np.random.default_rng(5)
-    for _ in range(30):
-        K = int(rng.integers(2, 9))
-        mass = rng.dirichlet(np.ones(K))
-        mu = Xdd(K, mass)
-        chain_ok = check_invariant_feasible(mu).feasible
-        full_ok = check_feasible(expand_invariant(mu)).feasible
-        assert chain_ok == full_ok
+    verdicts = set()
+    for K in range(2, 9):
+        for _ in range(10):
+            mu = Xdd(K, rng.dirichlet(np.ones(K)))
+            chain_ok = not invariant_chain_violations_exact(mu.mass)
+            assert check_feasible(expand_invariant(mu)).feasible == chain_ok
+            verdicts.add(chain_ok)
+    assert verdicts == {True, False}
+
+
+def test_invariant_chain_within_slack_tolerance_is_feasible():
+    # The exact chain fails at d=1 by 2e-12, inside the gate's SLACK_TOL:
+    # the gate accepts the expanded sequence, and derive_apa realizes it.
+    mu = Xdd(3, [0.5, 0.25 + 1e-12, 0.25 - 1e-12])
+    assert invariant_chain_violations_exact(mu.mass) == [1]
+    seq = expand_invariant(mu)
+    assert check_feasible(seq).feasible
+    apa = derive_apa(seq)
+    assert apa.entry(3, 1)[2] == 0.0
+    induced = exact_induced_sequence(apa)
+    for got, want in zip(induced.xdds, seq.xdds):
+        np.testing.assert_allclose(got.mass, want.mass, atol=1e-11)
 
 
 def test_derive_apa_shifted_soliton_k3_hand_values():
@@ -232,8 +249,8 @@ def test_facet_sequence_round_trips_with_zero_replace():
     K = 5
     h = sum(1.0 / d for d in range(1, K + 1))
     mu = Xdd(K, [1.0 / (d * h) for d in range(1, K + 1)])
-    assert check_invariant_feasible(mu).feasible
     seq = expand_invariant(mu)
+    assert check_feasible(seq).feasible
     apa = derive_apa(seq)
     zero_replace = [
         (i, d)

@@ -108,3 +108,46 @@ def test_decoder_imports_no_private_name():
                if isinstance(node, ast.ImportFrom) for alias in node.names
                if alias.name.startswith("_")]
     assert private == []
+
+
+_CALLERS = [path for top in ("src", "tests", "bench", "demos")
+            for path in sorted((SRC.parent.parent / top).rglob("*.py"))]
+
+
+def _defaulted_parameters():
+    """(module, function, parameter, positional index or None) for every
+    parameter with a default of a module-level function in the package."""
+    for path, node in _STATEMENTS:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        for idx in range(len(positional) - len(args.defaults), len(positional)):
+            yield path.name, node.name, positional[idx].arg, idx
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield path.name, node.name, arg.arg, None
+
+
+def _passes(call: ast.Call, param: str, idx) -> bool:
+    """Whether the call sets the parameter: by keyword, by position, or
+    possibly through *args or **kwargs."""
+    if any(kw.arg in (param, None) for kw in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return idx is not None and len(call.args) > idx
+
+
+def test_every_defaulted_parameter_is_set_by_some_caller():
+    # A default that no caller overrides is a constant written as an option.
+    calls: dict[str, list[ast.Call]] = {}
+    for path in _CALLERS:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    never_set = [f"{module}: {fn}({param})" for module, fn, param, idx in _defaulted_parameters()
+                 if not any(_passes(call, param, idx) for call in calls.get(fn, []))]
+    assert never_set == []

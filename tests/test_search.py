@@ -5,9 +5,9 @@ import pytest
 
 from recipe import search
 from recipe.decoder import PeelingState
-from recipe.distributions import shifted_soliton
+from recipe.distributions import expand_invariant, shifted_soliton
 from recipe.errors import RangeError
-from recipe.feasibility import check_feasible, check_invariant_feasible, _rhs_mu
+from recipe.feasibility import check_feasible, _rhs_mu
 from recipe.search import (
     _objective_and_grad,
     _project_weighted_simplex,
@@ -118,7 +118,7 @@ def test_project_invariant_polytope_output_is_feasible():
             assert abs(x.sum() - 1.0) < 1e-9
             assert (x >= 0).all()
             assert x[0] >= 1e-6 * 0.99
-            assert check_invariant_feasible(Xdd(K, x / x.sum())).feasible
+            assert check_feasible(expand_invariant(Xdd(K, x / x.sum()))).feasible
 
 
 def test_project_invariant_polytope_fixes_nothing_inside():
@@ -195,6 +195,12 @@ def test_random_feasible_sequences_pass_check():
     for _ in range(50):
         K = int(rng.integers(1, 7))
         assert check_feasible(random_feasible_sequence(K, rng)).feasible
+
+
+@pytest.mark.parametrize("K", [0, -1])
+def test_random_feasible_sequence_refuses_a_diameter_below_one(K):
+    with pytest.raises(RangeError, match=f"diameter must be positive, got K={K}"):
+        random_feasible_sequence(K, np.random.default_rng(0))
 
 
 def test_hrs_k1():
