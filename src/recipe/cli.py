@@ -274,18 +274,14 @@ def _cmd_compare(args) -> int:
     curves = []
     for path in args.curves:
         curves.extend(read_curves_csv(path))
-    ks = sorted({p.k for c in curves for p in c.points})
+    points = [{p.k: p for p in c.points} for c in curves]
     header = "k," + ",".join(f"{c.label}:mean,{c.label}:q99" for c in curves)
     rows = [header]
-    for k in ks:
+    for k in sorted({k for by_k in points for k in by_k}):
         cells = [str(k)]
-        for c in curves:
-            try:
-                p = c.point(k)
-                cells.append(f"{p.mean:.17g}")
-                cells.append(f"{p.q99:.17g}")
-            except RangeError:
-                cells.extend(["", ""])
+        for by_k in points:
+            p = by_k.get(k)
+            cells += [f"{p.mean:.17g}", f"{p.q99:.17g}"] if p else ["", ""]
         rows.append(",".join(cells))
     _emit(args, "\n".join(rows) + "\n", list(args.curves))
     return EXIT_OK

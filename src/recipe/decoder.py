@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import NamedTuple
 
-from .errors import ConfigurationError, DataCorruptionError, RangeError
+from .errors import DataCorruptionError, RangeError
 # Unused here, but bench/ reads the protocol classes under these names on
 # this module, and bench/tracing.py patches row_select here.
 from .protocol import (  # noqa: F401
@@ -36,11 +36,7 @@ def replay_xor_mask(packet_id: int, k: int, mode) -> int:
 
     Packet ids are taken mod 2^64, as the switches' hash takes them.
     """
-    try:
-        replay = mode.replay
-    except AttributeError:
-        raise ConfigurationError(f"unknown decode mode {mode!r}") from None
-    return replay(packet_id, k)
+    return mode.replay(packet_id, k)
 
 
 class ReceivedCodeword(NamedTuple):

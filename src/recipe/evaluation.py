@@ -24,7 +24,7 @@ import numpy as np
 
 from .decoder import PeelingState
 from .distributions import PintParams
-from .errors import InternalConsistencyError, RangeError
+from .errors import InternalConsistencyError, RangeError, SequenceValidationError
 from .feasibility import derive_apa
 from .protocol import PintScheme, RecipeDScheme, RecipeTScheme, generate_avst
 from .protocol import _mix64, masks_from_members, xor_members
@@ -135,9 +135,6 @@ class EfficiencyCurve:
                 return p
         raise RangeError(f"curve has no point at k={k}")
 
-    def means(self) -> dict[int, float]:
-        return {p.k: p.mean for p in self.points}
-
 
 def _curve_point(scheme, k: int, trials: int, master_seed: int) -> CurvePoint:
     seeds = [derive_seed(master_seed, k, t) for t in range(trials)]
@@ -159,6 +156,8 @@ def efficiency_curve(scheme, K: int, trials: int, seed: int,
         raise RangeError(f"diameter must be positive, got K={K}")
     if trials < 1:
         raise RangeError("at least one trial per point is required")
+    if any(c in scheme.label for c in ",\r\n"):  # one CSV field, one line
+        raise RangeError(f"a curve label may not contain ',', CR or LF, got {scheme.label!r}")
     ks = list(ks) if ks is not None else list(range(1, K + 1))
     for k in ks:  # refuse a bad k before any trial runs
         scheme._check_length(k)
@@ -186,7 +185,7 @@ def compare_t_vs_d(seq: XddSequence, L_values, trials: int, seed: int,
 
 def mean_curve_gap(curve_a: EfficiencyCurve, curve_b: EfficiencyCurve) -> float:
     """Mean absolute per-k difference of two mean-efficiency curves."""
-    means_b = curve_b.means()
+    means_b = {p.k: p.mean for p in curve_b.points}
     gaps = [abs(p.mean - means_b[p.k]) for p in curve_a.points if p.k in means_b]
     return float(np.mean(gaps))
 
@@ -256,13 +255,13 @@ def write_curves_csv(path, curves) -> None:
 
 
 def read_curves_csv(path) -> list[EfficiencyCurve]:
-    text = read_text(path, f"curve CSV {path}", RangeError)
+    text = read_text(path, f"curve CSV {path}")
     lines = [ln.strip() for ln in text.split("\n") if ln.strip()]
     if not lines or lines[0] != CSV_HEADER:
-        raise RangeError(f"{path} is not a curve CSV")
+        raise SequenceValidationError(f"malformed curve CSV {path}: wrong header")
     grouped: dict[tuple, list[CurvePoint]] = {}
     for ln in lines[1:]:
-        with malformed(f"curve row in {path}", RangeError):
+        with malformed(f"curve row in {path}"):
             label, K, k, trials, mean, stderr, q99, inc = ln.split(",")
             grouped.setdefault((label, int(K)), []).append(CurvePoint(
                 int(k), int(trials), float(mean), float(stderr), float(q99), float(inc)))
@@ -277,6 +276,8 @@ def map_jobs(fn, jobs, threads: int) -> list:
     """[fn(*job) for job in jobs], in order; in `threads` worker processes
     when threads > 1 and there is more than one job.  `fn` and the jobs
     must pickle."""
+    if threads < 1:
+        raise RangeError(f"threads must be >= 1, got {threads}")
     if threads > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, *zip(*jobs)))

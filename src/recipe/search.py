@@ -227,8 +227,6 @@ def _project_chain_cone(v: np.ndarray) -> np.ndarray:
     d <= K-1}.  In nu = d*mu coordinates the chain is monotonicity, and
     the mu-space metric becomes weights 1/d^2."""
     K = v.size
-    if K == 1:
-        return np.maximum(v, 0.0)
     d = np.arange(1, K + 1, dtype=float)
     nu = v * d
     w = 1.0 / d**2

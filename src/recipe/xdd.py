@@ -72,9 +72,6 @@ class Xdd:
             raise RangeError(f"degree {d} outside 1..{self.k}")
         return float(self.mass[d - 1])
 
-    def __len__(self):
-        return self.k
-
 
 def validate_xdd(pair, tol: float = SUM_TOL) -> list[str]:
     """Report every invariant violation of a raw (k, mass) pair; empty list
@@ -152,24 +149,24 @@ def sequence_from_masses(masses) -> XddSequence:
 
 
 @contextmanager
-def malformed(what: str, error: type = SequenceValidationError):
+def malformed(what: str):
     """Guard the parsing of a text input artifact: any failure to read its
     structure (not JSON, a missing key, a value of the wrong type or
-    shape) is raised as `error` naming `what`, so the CLI reports it with
-    its exit code instead of a traceback.  A RecipeError passes through
-    unchanged."""
+    shape) is raised as a SequenceValidationError naming `what`, so the
+    CLI reports it with exit 2 instead of a traceback.  A RecipeError
+    passes through unchanged."""
     try:
         yield
     except RecipeError:
         raise
     except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
-        raise error(f"malformed {what}: {exc}") from exc
+        raise SequenceValidationError(f"malformed {what}: {exc}") from exc
 
 
-def read_text(path, what: str, error: type = SequenceValidationError) -> str:
+def read_text(path, what: str) -> str:
     """The text of the input artifact at `path`; bytes that are not UTF-8
     make it a malformed `what` (see `malformed`)."""
-    with open(path, "r", encoding="utf-8") as fh, malformed(what, error):
+    with open(path, "r", encoding="utf-8") as fh, malformed(what):
         return fh.read()
 
 

@@ -234,6 +234,33 @@ def test_evaluate_diameter_out_of_range_is_one_error_line(tmp_path, capsys):
             assert not out_path.exists()
 
 
+@pytest.mark.parametrize("label", ["a,b", "a\nb", "a\rb"])
+def test_evaluate_label_that_would_split_a_csv_row_is_one_error_line(tmp_path, capsys,
+                                                                     monkeypatch, label):
+    ran = []
+    monkeypatch.setattr("recipe.evaluation.run_trials", lambda *args: ran.append(args))
+    out_path = tmp_path / "c.csv"
+    code, out, err = run_cli(capsys, "evaluate", "--pint-alpha", ".3", "--pint-p", ".2",
+                             "--K", "3", "--trials", "5", "--label", label, "-o", str(out_path))
+    assert code == 3
+    assert out == "" and len(err.splitlines()) == 1 and "label" in err
+    assert not out_path.exists() and ran == []
+
+
+@pytest.mark.parametrize("threads", ["0", "-4"])
+@pytest.mark.parametrize("argv", [
+    pytest.param(["evaluate", "--pint-alpha", ".5", "--pint-p", ".2", "--K", "3",
+                  "--trials", "2"], id="evaluate"),
+    pytest.param(["search", "qps", "--K", "4", "--restarts", "1"], id="search-qps"),
+])
+def test_threads_below_one_is_one_error_line(tmp_path, capsys, argv, threads):
+    out_path = tmp_path / "out"
+    code, out, err = run_cli(capsys, *argv, f"--threads={threads}", "-o", str(out_path))
+    assert code == 3
+    assert out == "" and err == f"error: threads must be >= 1, got {threads}\n"
+    assert not out_path.exists()
+
+
 def test_evaluate_ks_beyond_K_is_one_error_line(tmp_path, capsys):
     # A K=5 code evaluated as a K=3 curve: k=4 and 5 fit the code but not the curve.
     ss, apa, table = tmp_path / "ss.json", tmp_path / "apa.json", tmp_path / "t.avst"
@@ -518,8 +545,9 @@ _PINT = ["--pint-alpha", "0.5", "--pint-p", "0.2"]
                  id="gen-avst-apa-without-K"),
     pytest.param('{"K": 1}', ["gen-avst", "--apa", "{f}", "-o", "{out}"], 2,
                  id="gen-avst-apa-without-p"),
-    pytest.param(CSV_HEADER + "\nss,3,1,10\n", ["compare", "{f}"], 3,
+    pytest.param(CSV_HEADER + "\nss,3,1,10\n", ["compare", "{f}"], 2,
                  id="compare-row-of-4-fields"),
+    pytest.param("k,mean\n1,2\n", ["compare", "{f}"], 2, id="compare-wrong-header"),
     pytest.param('{"packet_id": 1}\n', ["decode", *_PINT, "--k", "2", "--in", "{f}"], 2,
                  id="decode-line-without-codeword"),
     pytest.param('{"packet_id": 1.5, "codeword": 3}\n',
@@ -545,7 +573,7 @@ _PINT = ["--pint-alpha", "0.5", "--pint-p", "0.2"]
                  id="dist-invariant-not-utf8"),
     pytest.param(_NOT_UTF8, ["gen-avst", "--apa", "{f}", "-o", "{out}"], 2,
                  id="gen-avst-not-utf8"),
-    pytest.param(_NOT_UTF8, ["compare", "{f}"], 3, id="compare-not-utf8"),
+    pytest.param(_NOT_UTF8, ["compare", "{f}"], 2, id="compare-not-utf8"),
     pytest.param(_NOT_UTF8, ["decode", *_PINT, "--k", "2", "--in", "{f}"], 2,
                  id="decode-not-utf8"),
 ])

@@ -16,7 +16,7 @@ from recipe.decoder import (
     replay_xor_mask,
 )
 from recipe.distributions import PintParams, expand_invariant, shifted_soliton_sequence
-from recipe.errors import ConfigurationError, DataCorruptionError, ProtocolError, RangeError
+from recipe.errors import DataCorruptionError, ProtocolError, RangeError
 from recipe.evaluation import (
     PintScheme,
     RecipeDScheme,
@@ -233,8 +233,8 @@ def test_replay_range_errors():
                 replay_xor_mask(7, k, scheme)
             with pytest.raises(RangeError):
                 scheme.actions(k, pids)
-    with pytest.raises(ConfigurationError):
-        replay_xor_mask(1, 3, apa)  # an APA is not a decode mode
+    with pytest.raises(RangeError):
+        decode_stream([], 0)
 
 
 def test_replay_raises_on_unreachable_apa_entry():

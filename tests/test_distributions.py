@@ -42,12 +42,16 @@ def test_shifted_soliton_sequence_shape():
     assert [x.k for x in seq.xdds] == [1, 2, 3, 4, 5]
     with pytest.raises(RangeError):
         shifted_soliton_sequence(0)
+    with pytest.raises(RangeError):
+        shifted_soliton(0)
 
 
 def test_ideal_soliton_values():
     assert list(ideal_soliton(3).mass) == [1 / 3, 0.5, 1 / 6]
     assert list(ideal_soliton(1).mass) == [1.0]
     assert list(ideal_soliton(2).mass) == [0.5, 0.5]
+    with pytest.raises(RangeError):
+        ideal_soliton(0)
 
 
 def test_ideal_soliton_sequence_infeasible_for_all_small_K():

@@ -1,10 +1,12 @@
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
 from recipe.distributions import PintParams, shifted_soliton_sequence
-from recipe.errors import RangeError
+from recipe import evaluation
+from recipe.errors import InternalConsistencyError, RangeError, SequenceValidationError
 from recipe.feasibility import derive_apa
 from recipe.evaluation import (
     CAP_FACTOR,
@@ -111,7 +113,24 @@ def test_curve_refuses_a_bad_diameter_or_length_before_any_trial(monkeypatch):
     for K, ks in ((0, None), (-1, None), (7, None), (5, [2, 6])):
         with pytest.raises(RangeError):
             efficiency_curve(scheme, K, trials=2, seed=1, ks=ks)
+    for label in ("a,b", "a\rb", "a\nb"):  # would split a CSV field or row
+        with pytest.raises(RangeError, match="label"):
+            efficiency_curve(dataclasses.replace(scheme, label=label), 5, trials=2, seed=1)
+    for threads in (0, -4):
+        with pytest.raises(RangeError, match=f"threads must be >= 1, got {threads}"):
+            efficiency_curve(scheme, 5, trials=2, seed=1, threads=threads)
     assert ran == []
+
+
+@pytest.mark.parametrize("scheme", [_ss_scheme(8), PintScheme(PintParams(0.5, 0.2), seed=1, K=8)],
+                         ids=["recipe-d", "pint"])
+def test_a_wrong_resolution_is_caught_against_ground_truth(monkeypatch, scheme):
+    # Codeword values off by one bit: peeling completes, to the wrong IDs.
+    values = evaluation._codeword_values
+    monkeypatch.setattr(evaluation, "_codeword_values",
+                        lambda members, ids: values(members, ids ^ np.uint64(1)))
+    with pytest.raises(InternalConsistencyError, match="decoded to .*, ground truth"):
+        run_trials(scheme, 8, [derive_seed(4, 8, t) for t in range(3)])
 
 
 def test_curve_ks_subset():
@@ -196,7 +215,7 @@ def test_csv_round_trip(tmp_path):
     write_curves_csv(path, [curve])
     back = read_curves_csv(path)
     assert back == [curve]
-    with pytest.raises(RangeError):
+    with pytest.raises(SequenceValidationError):
         (tmp_path / "bad.csv").write_text("nope\n")
         read_curves_csv(tmp_path / "bad.csv")
 

@@ -16,6 +16,7 @@ from recipe.errors import (
     ProtocolError,
     RangeError,
     SequenceValidationError,
+    UniformityError,
 )
 from recipe.feasibility import (
     SLACK_TOL,
@@ -240,6 +241,17 @@ def test_exact_induced_enumeration_bound():
     # prefix enumeration under the bound is fine
     induced = exact_induced_sequence(Apa(5, apa.triples[:5]))
     assert induced.K == 5
+
+
+@pytest.mark.parametrize("hop2, message", [
+    ([0.0, 0.3, 0.7], r"size-1 sets at hop 2 span probabilities \[0.3, 0.7\]"),
+    ([0.0, 1.0, 0.0], "only 1/2 size-1 sets reachable at hop 2"),
+])
+def test_exact_induced_refuses_unequal_same_size_sets(hop2, message):
+    # Hop 1 always replaces; these hop-2 rows give {1} and {2} unequal odds.
+    apa = Apa(2, (np.array([[0.0, 0.0, 1.0]]), np.array([hop2])))
+    with pytest.raises(UniformityError, match=message):
+        exact_induced_sequence(apa)
 
 
 def test_facet_sequence_round_trips_with_zero_replace():

@@ -151,3 +151,51 @@ def test_every_defaulted_parameter_is_set_by_some_caller():
     never_set = [f"{module}: {fn}({param})" for module, fn, param, idx in _defaulted_parameters()
                  if not any(_passes(call, param, idx) for call in calls.get(fn, []))]
     assert never_set == []
+
+
+_ERRORS = {node.name for node in ast.parse((SRC / "errors.py").read_text(encoding="utf-8")).body
+           if isinstance(node, ast.ClassDef)}
+# argparse's own protocol in cli.py: (enclosing function, exception raised).
+_ARGPARSE_RAISES = {("error", "SystemExit"), ("_path_lengths", "ArgumentTypeError")}
+
+
+def _raised_name(exc) -> str | None:
+    """The class a `raise` names: `X`, `X(...)`, `mod.X` or `mod.X(...)`."""
+    if isinstance(exc, ast.Call):
+        exc = exc.func
+    if isinstance(exc, ast.Attribute):
+        return exc.attr
+    return exc.id if isinstance(exc, ast.Name) else None
+
+
+def _foreign_raises(node, path: Path, function=None, guarded=False, caught=None):
+    """`file:line` of each raise under `node` whose exception is not a
+    recipe error; see test_every_raise_is_a_recipe_error."""
+    if isinstance(node, ast.Raise):
+        name = _raised_name(node.exc) if node.exc else None
+        ok = (guarded or name in _ERRORS
+              or (node.exc is None and caught is not None and set(caught) <= _ERRORS)
+              or (path.name == "cli.py" and (function, name) in _ARGPARSE_RAISES))
+        if not ok:
+            yield f"{path.name}:{node.lineno}: raise {ast.unparse(node.exc or node)}"
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        function = node.name
+    if isinstance(node, ast.With) and any(
+            isinstance(item.context_expr, ast.Call)
+            and _raised_name(item.context_expr) == "malformed" for item in node.items):
+        guarded = True
+    if isinstance(node, ast.ExceptHandler):
+        types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        caught = tuple(_raised_name(t) for t in types)
+    for child in ast.iter_child_nodes(node):
+        yield from _foreign_raises(child, path, function, guarded, caught)
+
+
+def test_every_raise_is_a_recipe_error():
+    # The CLI maps a RecipeError to its exit code and one stderr line; any
+    # other exception escapes as a traceback.  So every raise names a class
+    # of recipe.errors, re-raises one, sits in a `with malformed(...)`
+    # block (which converts it), or is argparse's own protocol in cli.py.
+    foreign = [line for path in sorted(SRC.glob("*.py"))
+               for line in _foreign_raises(ast.parse(path.read_text(encoding="utf-8")), path)]
+    assert foreign == []

@@ -380,6 +380,11 @@ def test_avst_digest_binding():
         avst.verify_digest(apa4)
 
 
+def test_avst_rows_of_another_shape_are_refused():
+    with pytest.raises(RangeError, match=r"rows shape \(3, 2\) != \(L=2, K=3\)"):
+        Avst(2, 3, np.zeros((3, 2), dtype=np.uint8), 0, "00" * 32)
+
+
 def test_avst_reserved_action_code_is_refused(tmp_path):
     # Code 3 would split the batch view (it counts as acting) from replay.
     with pytest.raises(ConfigurationError):

@@ -119,6 +119,8 @@ def test_project_invariant_polytope_output_is_feasible():
             assert (x >= 0).all()
             assert x[0] >= 1e-6 * 0.99
             assert check_feasible(expand_invariant(Xdd(K, x / x.sum()))).feasible
+    for v in (-2.0, -0.0, 0.3):  # K = 1 has one feasible point
+        assert project_invariant_polytope(np.array([v])).tolist() == [1.0]
 
 
 def test_project_invariant_polytope_fixes_nothing_inside():
@@ -359,3 +361,7 @@ def test_search_counts_below_one_are_refused():
         for K in (1, 4):
             with pytest.raises(RangeError):
                 search_fn(K, **counts)
+    for search_fn in (hrs_search, qps_search):
+        for K in (0, -1):
+            with pytest.raises(RangeError, match=f"diameter must be positive, got K={K}"):
+                search_fn(K)

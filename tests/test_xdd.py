@@ -89,6 +89,8 @@ def test_validate_xdd_reports():
 def test_xdd_constructor_rejects_invalid():
     with pytest.raises(SequenceValidationError):
         Xdd(2, [0.5, 0.6])
+    with pytest.raises(SequenceValidationError, match="non-finite mass at d=1"):
+        Xdd(2, [float("nan"), 1.0])
     with pytest.raises(RangeError):
         Xdd(0, [])
 
