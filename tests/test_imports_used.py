@@ -159,8 +159,8 @@ _ERRORS = {node.name for node in ast.parse((SRC / "errors.py").read_text(encodin
 _ARGPARSE_RAISES = {("error", "SystemExit"), ("_path_lengths", "ArgumentTypeError")}
 
 
-def _raised_name(exc) -> str | None:
-    """The class a `raise` names: `X`, `X(...)`, `mod.X` or `mod.X(...)`."""
+def _name_of(exc) -> str | None:
+    """The name `X` of an expression `X`, `X(...)`, `mod.X` or `mod.X(...)`."""
     if isinstance(exc, ast.Call):
         exc = exc.func
     if isinstance(exc, ast.Attribute):
@@ -172,21 +172,21 @@ def _foreign_raises(node, path: Path, function=None, guarded=False, caught=None)
     """`file:line` of each raise under `node` whose exception is not a
     recipe error; see test_every_raise_is_a_recipe_error."""
     if isinstance(node, ast.Raise):
-        name = _raised_name(node.exc) if node.exc else None
+        name = _name_of(node.exc) if node.exc else None
         ok = (guarded or name in _ERRORS
               or (node.exc is None and caught is not None and set(caught) <= _ERRORS)
               or (path.name == "cli.py" and (function, name) in _ARGPARSE_RAISES))
         if not ok:
-            yield f"{path.name}:{node.lineno}: raise {ast.unparse(node.exc or node)}"
+            yield f"{path.name}:{node.lineno}: {ast.unparse(node)}"
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
         function = node.name
     if isinstance(node, ast.With) and any(
             isinstance(item.context_expr, ast.Call)
-            and _raised_name(item.context_expr) == "malformed" for item in node.items):
+            and _name_of(item.context_expr) == "malformed" for item in node.items):
         guarded = True
     if isinstance(node, ast.ExceptHandler):
         types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
-        caught = tuple(_raised_name(t) for t in types)
+        caught = tuple(_name_of(t) for t in types)
     for child in ast.iter_child_nodes(node):
         yield from _foreign_raises(child, path, function, guarded, caught)
 
