@@ -156,8 +156,10 @@ def efficiency_curve(scheme, K: int, trials: int, seed: int,
         raise RangeError(f"diameter must be positive, got K={K}")
     if trials < 1:
         raise RangeError("at least one trial per point is required")
-    if any(c in scheme.label for c in ",\r\n"):  # one CSV field, one line
-        raise RangeError(f"a curve label may not contain ',', CR or LF, got {scheme.label!r}")
+    # One CSV field on one line, which read_curves_csv's line strip keeps whole.
+    if any(c in scheme.label for c in ",\r\n") or scheme.label != scheme.label.strip():
+        raise RangeError("a curve label may not contain ',', CR or LF, nor start or end "
+                         f"with whitespace, got {scheme.label!r}")
     ks = list(ks) if ks is not None else list(range(1, K + 1))
     for k in ks:  # refuse a bad k before any trial runs
         scheme._check_length(k)

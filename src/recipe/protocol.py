@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -77,14 +78,46 @@ class GlobalHash:
         object.__setattr__(self, "seed", self.seed & _MASK64)
 
 
-def _mix64(x: int) -> int:
-    x &= _MASK64
-    x ^= x >> 30
-    x = (x * _MIX1) & _MASK64
-    x ^= x >> 27
-    x = (x * _MIX2) & _MASK64
-    x ^= x >> 31
-    return x
+def _mix64(x: int, lanes: int = _MASK64) -> int:
+    """The 64-bit finalizer, on one word or on many packed in one int.
+
+    `lanes` has ones in the bits of each word: `_MASK64` for one word, or
+    the mask of `_pack`ed lanes, word i in bits [128i, 128i+64).  Masking
+    after every shift and multiply keeps each word in its lane: a 64-bit
+    product fits its 128-bit slot, so no lane carries into the next.
+    """
+    x &= lanes
+    x = (x ^ x >> 30) & lanes
+    x = x * _MIX1 & lanes
+    x = (x ^ x >> 27) & lanes
+    x = x * _MIX2 & lanes
+    return (x ^ x >> 31) & lanes
+
+
+def _pack(words) -> int:
+    """Nonnegative ints below 2^128, word i in the 128-bit lane [128i, 128i+128)."""
+    return int.from_bytes(b"".join(w.to_bytes(16, "little") for w in words), "little")
+
+
+def _lane_keys(keys: list[int]) -> tuple[int, int, int]:
+    """(repeater, lane mask, packed keys) for hashing one packet at the
+    hops of `keys` in one `_mix64` pass: (packet_id & _MASK64) * repeater
+    ^ packed keys puts the packet id, XORed with hop i's key, in lane i."""
+    rep = _pack([1] * len(keys))
+    return rep, rep * _MASK64, _pack(keys)
+
+
+def _below(thresholds) -> int:
+    """Lanes 2^64 + (t << 11) - 1 for thresholds t in [0, 2^53] (`thresholds53`):
+    lane i of `_below(t) - x`, for x lanes of 64-bit words, is nonnegative and
+    below 2^65, so no borrow crosses a lane, and its bit 64 (the guard bit
+    128i+64) is set exactly when x_i >> 11 < t_i, the compare y < t."""
+    return _pack((1 << 64) + (t << 11) - 1 for t in thresholds)
+
+
+def _guards(x: int, size: int) -> bytes:
+    """Byte 8 of each of the `size // 16` lanes of x: its guard bit as 0 or 1."""
+    return x.to_bytes(size, "little")[8::16]
 
 
 def hash_uniform(gh: GlobalHash, hop: int, packet_id: int) -> float:
@@ -228,10 +261,11 @@ def step_recipe_d(pkt: Packet, my_id: int, apa: Apa, gh: GlobalHash) -> Packet:
 #     the evaluation runs, from which `xor_members` reads XOR-sets,
 #     codeword values and degrees;
 #   replay(packet_id, k) -> int, one packet's XOR-set as a bitmask: the
-#     destination's replay: one hash pass over the packet's hops, read
-#     with the kernel's thresholds (recipe-t hashes once, for its row, and
-#     reads the row's bytes).  Each view is the fast one where it is
-#     used; README's "Protocols and decoder" gives their costs.
+#     destination's replay: one hash pass over the packet's hops, each hop
+#     a 128-bit lane of one Python int (`_mix64`), read with the kernel's
+#     thresholds (recipe-t hashes once, for its row, and reads the row's
+#     bytes).  Each view is the fast one where it is used; README's
+#     "Protocols and decoder" gives their costs.
 
 
 class _Protocol:
@@ -265,9 +299,10 @@ class RecipeDScheme(_Protocol):
     incoming degree 0..i-1, the same floats `step_recipe_d` compares.  Hop
     1 holds its fixed (0, 0, 1) row at degree 0; degree 0 of later hops
     and the APA's unreachable rows hold -1.  The batch kernel reads the
-    tables as arrays, replay as Python int lists, with 2^53 (above every
-    draw) in place of an unreachable row's add_rep so that its Skip test
-    fails.
+    tables as arrays.  Replay, on first use, reads them as Python int
+    lists shifted left by 11 to compare whole 64-bit hash words, with 2^53
+    (above every draw) in place of an unreachable row's add_rep so that
+    its Skip test fails.
     """
 
     apa: Apa
@@ -277,8 +312,8 @@ class RecipeDScheme(_Protocol):
     # (add, add_rep, the set of hops that have an unreachable row)
     _tables: tuple = field(init=False, repr=False, compare=False)
     _keys: np.ndarray = field(init=False, repr=False, compare=False)
-    # (add lists, add_rep lists, hop bits), one entry per hop
-    _walk: tuple = field(init=False, repr=False, compare=False)
+    # path length k -> replay's lane constants for hops 1..k
+    _replays: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._set_key()
@@ -293,10 +328,16 @@ class RecipeDScheme(_Protocol):
         object.__setattr__(self, "_tables", (add, add_rep, frozenset(gaps)))
         object.__setattr__(self, "_keys",
                            hop_keys(self.gh, np.arange(1, self.K + 1, dtype=np.uint64)))
-        object.__setattr__(self, "_walk", (
-            [a.tolist() for a in add],
-            [np.where(a < 0, 1 << 53, r).tolist() for a, r in zip(add, add_rep)],
-            [1 << h for h in range(self.K)]))
+        object.__setattr__(self, "_replays", {})
+
+    @cached_property
+    def _walk(self) -> tuple[list, list, list]:
+        """(add lists, add_rep lists, hop bits), one entry per hop."""
+        add, add_rep, _ = self._tables
+        return ([[t << 11 for t in a.tolist()] for a in add],
+                [[t << 11 for t in np.where(a < 0, 1 << 53, r).tolist()]
+                 for a, r in zip(add, add_rep)],
+                [1 << h for h in range(self.K)])
 
     @property
     def K(self) -> int:
@@ -343,17 +384,28 @@ class RecipeDScheme(_Protocol):
             np.putmask(degrees, rep, 1)
         return np.ascontiguousarray(actions.T)
 
+    def _replay_table(self, k: int) -> tuple[int, int, int, str]:
+        """`_lane_keys` of hops 1..k and the `struct` format of their k
+        words, for path length k, checked and built on its first use."""
+        table = self._replays.get(k)
+        if table is None:
+            self._check_length(k)
+            table = self._replays[k] = (*_lane_keys(self._keys[:k].tolist()), "<" + "Q8x" * k)
+        return table
+
     def replay(self, packet_id: int, k: int) -> int:
         """The degree walk of `step_recipe_d` over hops 1..k of one packet,
-        with every hop's draw hashed in one pass over the hop keys."""
-        self._check_length(k)
-        ys = _top53(self._keys[:k] ^ (packet_id & _MASK64)).tolist()
+        with every hop's draw hashed in one pass: the packet id in every
+        lane, XORed with the hop keys, through the lane-wise finalizer."""
+        rep, lanes, keys, words = self._replay_table(k)
+        xs = struct.unpack(
+            words, _mix64((packet_id & _MASK64) * rep ^ keys, lanes).to_bytes(16 * k, "little"))
         mask, d = 0, 0
-        for y, add, add_rep, bit in zip(ys, *self._walk):
-            if y >= add_rep[d]:  # Skip, the common case
+        for x, add, add_rep, bit in zip(xs, *self._walk):
+            if x >= add_rep[d]:  # Skip, the common case
                 continue
             threshold = add[d]
-            if y < threshold:
+            if x < threshold:
                 mask |= bit
                 d += 1
             elif threshold < 0:  # unreachable
@@ -410,8 +462,10 @@ class PintScheme(_Protocol):
 
     Both views read one integer table per path length k, built the first
     time k is used: the hash keys of PINT_BRANCH_HOP and hops 1..k, and
-    the `thresholds53` rows [alpha, 1/1 .. 1/k] and [alpha, p .. p] as
-    uint64, so every draw is compared in the hash's integer domain."""
+    the `thresholds53` rows [alpha, 1/1 .. 1/k] and [alpha, p .. p], so
+    every draw is compared in the hash's integer domain.  The batch view
+    reads them as uint64 arrays, replay as lanes of one int (`_pack`,
+    `_below`)."""
 
     params: PintParams
     seed: int = 0
@@ -427,16 +481,22 @@ class PintScheme(_Protocol):
             object.__setattr__(
                 self, "label", f"pint:a={self.params.alpha:g};p={self.params.p:g}")
 
-    def _table(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(hop keys, reservoir thresholds, binomial thresholds) for hops 0..k."""
+    def _table(self, k: int) -> tuple:
+        """For hops 0..k, checked and built on the first use of k: (hop
+        keys, reservoir thresholds, binomial thresholds) as arrays, then
+        replay's `_lane_keys` and reservoir and binomial `_below`."""
         table = self._tables.get(k)
         if table is None:
+            self._check_length(k)
             probs = np.empty((2, k + 1))
             probs[:, PINT_BRANCH_HOP] = self.params.alpha
             probs[0, 1:] = 1.0 / np.arange(1, k + 1)
             probs[1, 1:] = self.params.p
             keys = hop_keys(self.gh, np.arange(PINT_BRANCH_HOP, k + 1, dtype=np.uint64))
-            table = self._tables[k] = (keys, *thresholds53(probs).astype(np.uint64))
+            inverse, p = thresholds53(probs)
+            table = self._tables[k] = (
+                keys, inverse.astype(np.uint64), p.astype(np.uint64),
+                *_lane_keys(keys.tolist()), _below(inverse.tolist()), _below(p.tolist()))
         return table
 
     def actions(self, k: int, pids: np.ndarray) -> np.ndarray:
@@ -448,8 +508,7 @@ class PintScheme(_Protocol):
         Hops 1..k of a slab of packets hash in one pass, about _SLAB_CELLS
         cells at a time, and each slab's actions are one compare against
         its rows' thresholds times its rows' action codes."""
-        self._check_length(k)
-        keys, inverse, p = self._table(k)
+        keys, inverse, p = self._table(k)[:3]
         pids = np.asarray(pids, dtype=np.uint64)
         reservoir = _top53(pids ^ keys[PINT_BRANCH_HOP]) < p[PINT_BRANCH_HOP]
         codes = np.where(reservoir, REPLACE, ADD).astype(np.uint8)
@@ -463,17 +522,18 @@ class PintScheme(_Protocol):
         return actions
 
     def replay(self, packet_id: int, k: int) -> int:
-        """Hash PINT_BRANCH_HOP and hops 1..k in one pass and compare all
-        of them with the binomial row, whose entry 0 is alpha: a hit there
-        picks the reservoir branch, where the last hop i with y_i below
-        the 1/i threshold holds the slot (hop 1 always qualifies);
-        otherwise the hits on hops 1..k are the XOR-set, possibly empty."""
-        self._check_length(k)
-        keys, inverse, p = self._table(k)
-        ys = _top53(keys ^ (packet_id & _MASK64))
-        hits = (ys < p).tobytes()
+        """Hash PINT_BRANCH_HOP and hops 1..k in one pass, one lane each,
+        and compare all of them with the binomial row, whose entry 0 is
+        alpha: a hit there picks the reservoir branch, where the last hop
+        i with y_i below the 1/i threshold holds the slot (hop 1 always
+        qualifies); otherwise the hits on hops 1..k are the XOR-set,
+        possibly empty."""
+        rep, lanes, keys, below_inverse, below_p = self._table(k)[3:]
+        x = _mix64((packet_id & _MASK64) * rep ^ keys, lanes)
+        size = 16 * (k + 1)
+        hits = _guards(below_p - x, size)
         if hits[PINT_BRANCH_HOP]:
-            return 1 << ((ys < inverse).tobytes().rfind(1) - 1)
+            return 1 << (_guards(below_inverse - x, size).rfind(1) - 1)
         return int(hits[:0:-1].translate(_DIGITS), 2)  # hops k..1, most significant first
 
 

@@ -350,6 +350,8 @@ def qps_search(K: int, restarts: int = 8, seed: int = 0, second_order: bool = Fa
         raise RangeError(f"diameter must be positive, got K={K}")
     if restarts < 1:
         raise RangeError(f"restarts must be >= 1, got {restarts}")
+    if threads < 1:  # refused here too, since K=1 never reaches map_jobs
+        raise RangeError(f"threads must be >= 1, got {threads}")
     if K == 1:
         return sequence_from_masses([[1.0]])
     rng = np.random.default_rng(seed)

@@ -234,7 +234,7 @@ def test_evaluate_diameter_out_of_range_is_one_error_line(tmp_path, capsys):
             assert not out_path.exists()
 
 
-@pytest.mark.parametrize("label", ["a,b", "a\nb", "a\rb"])
+@pytest.mark.parametrize("label", ["a,b", "a\nb", "a\rb", "  x ", " x", "x\t"])
 def test_evaluate_label_that_would_split_a_csv_row_is_one_error_line(tmp_path, capsys,
                                                                      monkeypatch, label):
     ran = []
@@ -252,6 +252,7 @@ def test_evaluate_label_that_would_split_a_csv_row_is_one_error_line(tmp_path, c
     pytest.param(["evaluate", "--pint-alpha", ".5", "--pint-p", ".2", "--K", "3",
                   "--trials", "2"], id="evaluate"),
     pytest.param(["search", "qps", "--K", "4", "--restarts", "1"], id="search-qps"),
+    pytest.param(["search", "qps", "--K", "1"], id="search-qps-K1"),
 ])
 def test_threads_below_one_is_one_error_line(tmp_path, capsys, argv, threads):
     out_path = tmp_path / "out"

@@ -174,9 +174,9 @@ def test_scheme_and_mode_names_are_one_class():
 
 
 def test_replay_tables_belong_to_one_object_and_change_no_result():
-    # PintScheme builds a table per path length on first use; a copy by
-    # dataclasses.replace or pickle, or a detour through other lengths,
-    # replays the same masks.
+    # PintScheme and RecipeDScheme build replay's constants per path length
+    # on first use; a copy by dataclasses.replace or pickle, or a detour
+    # through other lengths, replays the same masks.
     apa = derive_apa(shifted_soliton_sequence(12))
     schemes = [RecipeDScheme(apa, seed=5), RecipeTScheme(generate_avst(apa, 40, seed=2), seed=5),
                PintScheme(PintParams(0.3, 0.2), seed=5, K=12)]
@@ -188,12 +188,20 @@ def test_replay_tables_belong_to_one_object_and_change_no_result():
         fresh = [masks(dataclasses.replace(scheme), k) for k in (12, 3, 12)]
         visited = [masks(scheme, k) for k in (12, 3, 12)]
         assert visited == fresh
+        # A cache checks k only when it builds k's entry, so a bad k after
+        # good ones is refused only if no cache ever holds one.
+        for k in (0, 13):
+            with pytest.raises(RangeError):
+                scheme.replay(2**64 - 1, k)
+            with pytest.raises(RangeError):
+                scheme.actions(k, np.arange(3, dtype=np.uint64))
         relabelled = dataclasses.replace(scheme, label="other")
         assert [masks(relabelled, k) for k in (3, 12)] == fresh[1:]
         unpickled = pickle.loads(pickle.dumps(scheme))
         assert [masks(unpickled, k) for k in (3, 12, 7)] == [*fresh[1:], masks(scheme, 7)]
-    pint = schemes[2]
-    assert set(pint._tables) == {3, 7, 12}
+    recipe_d, pint = schemes[0], schemes[2]
+    assert set(recipe_d._replays) == set(pint._tables) == {3, 7, 12}
+    assert not dataclasses.replace(recipe_d, label="other")._replays
     assert not dataclasses.replace(pint, label="other")._tables
 
 

@@ -113,7 +113,8 @@ def test_curve_refuses_a_bad_diameter_or_length_before_any_trial(monkeypatch):
     for K, ks in ((0, None), (-1, None), (7, None), (5, [2, 6])):
         with pytest.raises(RangeError):
             efficiency_curve(scheme, K, trials=2, seed=1, ks=ks)
-    for label in ("a,b", "a\rb", "a\nb"):  # would split a CSV field or row
+    # Would split a CSV field or row, or lose its edges to read_curves_csv.
+    for label in ("a,b", "a\rb", "a\nb", "  x ", " x", "x\t"):
         with pytest.raises(RangeError, match="label"):
             efficiency_curve(dataclasses.replace(scheme, label=label), 5, trials=2, seed=1)
     for threads in (0, -4):

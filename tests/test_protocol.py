@@ -19,8 +19,14 @@ from recipe.protocol import (
     Packet,
     PintScheme,
     _HEADER,
+    _MASK64,
     _SLAB_CELLS,
+    _below,
     _choose_action,
+    _guards,
+    _mix64,
+    _pack,
+    _top53,
     generate_avst,
     hash_uniform,
     hash_uniform_array,
@@ -84,6 +90,37 @@ def test_threshold_rule_is_exact(p):
 
 def test_thresholds53_marks_nan_below_every_draw():
     assert thresholds53(np.array([np.nan, 0.0, 1.0])).tolist() == [-1, 0, 2**53]
+
+
+@pytest.mark.parametrize("n", [1, 2, 65, 237])
+def test_packed_finalizer_matches_the_scalar_one_in_every_lane(n):
+    # Replay hashes all hops of a packet as 64-bit words in 128-bit lanes
+    # of one int.  Each lane must come out as the scalar finalizer would
+    # give it, with the gaps between lanes still zero: a word that leaked
+    # into its neighbour's lane would show here.
+    extremes = [0, 2**63, 2**64 - 1]
+    drawn = np.random.default_rng(n).integers(0, 2**64, size=n, dtype=np.uint64).tolist()
+    mixes = [[w] * n for w in extremes]
+    mixes.append([w if i % 2 else extremes[i // 2 % 3] for i, w in enumerate(drawn)])
+    lanes = _pack([1] * n) * _MASK64
+    for words in mixes:
+        mixed = _mix64(_pack(words), lanes)
+        assert mixed & ~lanes == 0
+        got = [(mixed >> (128 * i)) & _MASK64 for i in range(n)]
+        assert got == [_mix64(w) for w in words]
+        assert [g >> 11 for g in got] == _top53(np.array(words, dtype=np.uint64)).tolist()
+
+
+def test_guard_bit_compare_is_y_below_t():
+    # _below(t) - x sets the guard bit of lane i exactly when the draw
+    # y = x_i >> 11 is below t_i; the cases sit on both sides of each
+    # threshold, packed side by side so that a borrow between lanes would
+    # flip a neighbour's guard.
+    cases = [(x, t) for t in (0, 1, 2**53 - 1, 2**53)
+             for x in ((t << 11) - 1, t << 11, 0, _MASK64) if 0 <= x <= _MASK64]
+    xs, ts = zip(*cases)
+    guards = _guards(_below(ts) - _pack(xs), 16 * len(cases))
+    assert list(guards) == [int((x >> 11) < t) for x, t in cases]
 
 
 _PINT_GH = GlobalHash(0x5EED)

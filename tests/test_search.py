@@ -328,6 +328,15 @@ def test_qps_deterministic_and_thread_invariant():
         assert np.array_equal(xa.mass, xc.mass)
 
 
+@pytest.mark.parametrize("K", [1, 4])
+def test_qps_refuses_threads_below_one(K, monkeypatch):
+    # K=1 returns before any descent, so it never reaches map_jobs' check.
+    monkeypatch.setattr("recipe.search.map_jobs", lambda *args: pytest.fail("descended"))
+    for threads in (0, -4):
+        with pytest.raises(RangeError, match=f"threads must be >= 1, got {threads}"):
+            qps_search(K, restarts=1, threads=threads)
+
+
 def test_qps_trace_records_progress():
     trace = []
     qps_search(6, restarts=1, seed=6, trace=trace)
