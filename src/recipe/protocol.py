@@ -95,7 +95,8 @@ def _mix64(x: int, lanes: int = _MASK64) -> int:
 
 
 def _pack(words) -> int:
-    """Nonnegative ints below 2^128, word i in the 128-bit lane [128i, 128i+128)."""
+    """The words, each in [0, 2^128), as one int: word i in the 128-bit lane
+    [128i, 128i+128)."""
     return int.from_bytes(b"".join(w.to_bytes(16, "little") for w in words), "little")
 
 
@@ -384,22 +385,28 @@ class RecipeDScheme(_Protocol):
             np.putmask(degrees, rep, 1)
         return np.ascontiguousarray(actions.T)
 
-    def _replay_table(self, k: int) -> tuple[int, int, int, str]:
-        """`_lane_keys` of hops 1..k and the `struct` format of their k
-        words, for path length k, checked and built on its first use."""
+    def __getstate__(self):
+        # A Struct does not pickle; a copy builds its own per-k entries.
+        return {**self.__dict__, "_replays": {}}
+
+    def _replay_table(self, k: int) -> tuple:
+        """`_lane_keys` of hops 1..k and the reader of their k words, for
+        path length k, checked and built on its first use.  A Struct of its
+        own per k, since `struct.unpack` would recompile every format once
+        more than 100 are in use."""
         table = self._replays.get(k)
         if table is None:
             self._check_length(k)
-            table = self._replays[k] = (*_lane_keys(self._keys[:k].tolist()), "<" + "Q8x" * k)
+            table = self._replays[k] = (*_lane_keys(self._keys[:k].tolist()),
+                                        struct.Struct("<" + "Q8x" * k).unpack)
         return table
 
     def replay(self, packet_id: int, k: int) -> int:
         """The degree walk of `step_recipe_d` over hops 1..k of one packet,
         with every hop's draw hashed in one pass: the packet id in every
         lane, XORed with the hop keys, through the lane-wise finalizer."""
-        rep, lanes, keys, words = self._replay_table(k)
-        xs = struct.unpack(
-            words, _mix64((packet_id & _MASK64) * rep ^ keys, lanes).to_bytes(16 * k, "little"))
+        rep, lanes, keys, unpack = self._replay_table(k)
+        xs = unpack(_mix64((packet_id & _MASK64) * rep ^ keys, lanes).to_bytes(16 * k, "little"))
         mask, d = 0, 0
         for x, add, add_rep, bit in zip(xs, *self._walk):
             if x >= add_rep[d]:  # Skip, the common case
