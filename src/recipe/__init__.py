@@ -14,7 +14,6 @@ from .xdd import (  # noqa: F401
     Xdd,
     XddSequence,
     binomial_log,
-    mu_to_q,
     validate_xdd,
     read_sequence,
     write_sequence,
@@ -67,7 +66,6 @@ from .search import (  # noqa: F401
     qps_search,
     random_feasible_sequence,
     sample_feasible_predecessors,
-    verify_slack_budget,
 )
 from .evaluation import (  # noqa: F401
     EfficiencyCurve,

@@ -176,6 +176,8 @@ def _cmd_gen_avst(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.packets < 0:
+        raise RangeError(f"packet count must be >= 0, got {args.packets}")
     scheme = _scheme_from_args(args, args.k)
     scheme._check_length(args.k)
     rng = np.random.default_rng(args.seed)

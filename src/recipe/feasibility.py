@@ -143,9 +143,6 @@ class Apa:
                 f"hop {hops[np.argmin(ok)]} has a row that is neither all NaN (null) "
                 "nor a probability vector")
 
-    def is_reachable(self, i: int, d: int) -> bool:
-        return not np.isnan(self._row(i, d)[0])
-
     def entry(self, i: int, d: int) -> tuple[float, float, float]:
         """The (p_add, p_skip, p_replace) triple for incoming degree d at hop i."""
         row = self._row(i, d)

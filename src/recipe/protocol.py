@@ -598,10 +598,6 @@ class Avst:
         if rows.max() > REPLACE:
             raise ConfigurationError("table contains a reserved action code")
 
-    def verify_digest(self, apa: Apa) -> None:
-        if apa.digest() != self.apa_digest:
-            raise ConfigurationError("table was generated from a different APA")
-
 
 def generate_avst(apa: Apa, L: int, seed: int) -> Avst:
     """Monte-Carlo sample L action vectors from the degree-based protocol.

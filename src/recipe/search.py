@@ -35,7 +35,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import repeat
 
 import numpy as np
@@ -389,31 +388,9 @@ def qps_search(K: int, restarts: int = 8, seed: int = 0, second_order: bool = Fa
 
 def slack_budget(mu_i: Xdd) -> float:
     """Total scaled slack available to any feasible predecessor of mu_i;
-    equals q_i(1) = mu_i(1)/i (see verify_slack_budget for the proof
-    obligation, discharged by exact arithmetic in the tests)."""
+    equals q_i(1) = mu_i(1)/i (`slack_budget_exact` in tests/oracles.py
+    checks that identity in exact rationals)."""
     return mu_i.mu(1) / mu_i.k
-
-
-def verify_slack_budget(masses) -> Fraction:
-    """Exact-arithmetic oracle for the slack budget identity: computes
-    1 - sum_d C(i-1,d) (q_i(d) + q_i(d+1)) with big-integer rationals.
-
-    Takes the masses of mu_i (floats or Fractions).  The identity
-    budget = q_i(1) is an algebraic fact about distributions that sum to
-    exactly 1, so exactness tests feed exact rationals; float masses carry
-    their representation error into the result.
-    """
-    masses = [Fraction(v) for v in masses]
-    i = len(masses)
-    if i == 1:
-        return Fraction(0)
-    q = [Fraction(0)] * (i + 2)
-    for d in range(1, i + 1):
-        q[d] = masses[d - 1] / math.comb(i, d)
-    total = Fraction(0)
-    for d in range(1, i):
-        total += math.comb(i - 1, d) * (q[d] + q[d + 1])
-    return 1 - total
 
 
 def sample_feasible_predecessors(mu_i: Xdd, n: int, rng) -> np.ndarray:

@@ -104,11 +104,6 @@ def q_from_mu(m: float, n: int, d: int) -> float:
     return m * math.exp(-binomial_log(n, d))
 
 
-def mu_to_q(xdd: Xdd, d: int) -> float:
-    """Probability q(d) of one specific size-d XOR-set: mu(d) / C(k, d)."""
-    return q_from_mu(xdd.mu(d), xdd.k, d)  # mu range-checks d
-
-
 @dataclass(frozen=True)
 class XddSequence:
     """One XDD per possible path length 1..K; the object defining a code.
@@ -137,9 +132,6 @@ class XddSequence:
         if not 1 <= i <= self.K:
             raise RangeError(f"path length {i} outside 1..{self.K}")
         return self.xdds[i - 1]
-
-    def mu(self, i: int, d: int) -> float:
-        return self.xdd(i).mu(d)
 
 
 def sequence_from_masses(masses) -> XddSequence:

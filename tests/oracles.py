@@ -107,6 +107,27 @@ def induced_xdds_by_action_vectors(apa_triples, K):
     return masses
 
 
+def slack_budget_exact(masses):
+    """1 - sum_d C(i-1,d) (q_i(d) + q_i(d+1)) for the masses of mu_i,
+    in big-integer rationals.
+
+    The identity budget = q_i(1) is an algebraic fact about distributions
+    that sum to exactly 1, so exactness tests feed exact rationals; float
+    masses carry their representation error into the result.
+    """
+    masses = [Fraction(v) for v in masses]
+    i = len(masses)
+    if i == 1:
+        return Fraction(0)
+    q = [Fraction(0)] * (i + 2)
+    for d in range(1, i + 1):
+        q[d] = masses[d - 1] / math.comb(i, d)
+    total = Fraction(0)
+    for d in range(1, i):
+        total += math.comb(i - 1, d) * (q[d] + q[d + 1])
+    return 1 - total
+
+
 def coupon_collector_mean(k):
     """Expected draws to collect k uniform coupons: k * H_k."""
     return k * sum(Fraction(1, j) for j in range(1, k + 1))

@@ -151,7 +151,7 @@ def test_gen_avst(tmp_path, capsys):
     assert code == 0
     avst = read_avst(table)
     assert avst.L == 100 and avst.K == 3
-    avst.verify_digest(read_apa(apa))
+    assert avst.apa_digest == read_apa(apa).digest()
 
 
 @pytest.mark.parametrize("L", ["0", "-1"])
@@ -386,6 +386,18 @@ def test_simulate_trace(tmp_path, capsys):
     assert code == 0
     assert out.count("  hop ") == 2 * 3 and out.count(" row=") == 2
     assert "nu=" not in out
+
+
+def test_simulate_refuses_a_negative_packet_count(capsys):
+    pint = ["--pint-alpha", "0.3", "--pint-p", "0.2", "--k", "3"]
+    for packets in ("-1", "-2"):
+        code, out, err = run_cli(capsys, "simulate", *pint, "--packets", packets)
+        assert code == 3, packets
+        assert out == "" and len(err.splitlines()) == 1 and "packet count" in err
+    # No packet is a valid request: the switch IDs and nothing else.
+    code, out, err = run_cli(capsys, "simulate", *pint, "--packets", "0")
+    assert (code, err) == (0, "")
+    assert out.startswith("switch IDs: ") and len(out.splitlines()) == 1
 
 
 def test_search_subcommands(tmp_path, capsys):

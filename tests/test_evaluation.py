@@ -24,7 +24,7 @@ from recipe.evaluation import (
     tune_pint,
     write_curves_csv,
 )
-from recipe.protocol import REPLACE, SKIP, Avst
+from recipe.protocol import REPLACE, SKIP, Avst, generate_avst
 
 from oracles import coupon_collector_mean, two_hop_expected_used
 
@@ -55,6 +55,32 @@ def test_run_trials_one_seed_alone_matches_the_batch():
     for j, s in enumerate(seeds):
         alone_used, alone_completed = run_trials(scheme, 5, [s])
         assert alone_used[0] == used[j] and alone_completed[0] == completed[j]
+
+
+def _k12_scheme(name):
+    apa = derive_apa(shifted_soliton_sequence(12))
+    if name == "recipe-t":
+        return RecipeTScheme(generate_avst(apa, 256, seed=6), seed=5)
+    if name == "pint":
+        return PintScheme(PintParams(0.5, 0.2), seed=5, K=12)
+    return RecipeDScheme(apa, seed=5)
+
+
+@pytest.mark.parametrize("name", ["recipe-d", "recipe-t", "pint"])
+def test_run_trials_does_not_depend_on_the_chunk_size(monkeypatch, name):
+    # The default chunk holds all 40 trials.  One cell per chunk runs one
+    # trial per kernel call; 1100 cells give chunks of 11 at k=7 and 3 at
+    # k=12, which split 40 trials unevenly.
+    scheme = _k12_scheme(name)
+    for k in (1, 7, 12):
+        seeds = [derive_seed(13, k, t) for t in range(40)]
+        used, completed = run_trials(scheme, k, seeds)
+        for cells in (1, 1100):
+            monkeypatch.setattr(evaluation, "_CHUNK_CELLS", cells)
+            got_used, got_completed = run_trials(scheme, k, seeds)
+            monkeypatch.undo()
+            assert got_used.tolist() == used.tolist(), (k, cells)
+            assert got_completed.tolist() == completed.tolist(), (k, cells)
 
 
 def test_coupon_collector_mean_k3():

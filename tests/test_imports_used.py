@@ -1,13 +1,22 @@
-"""Every name a `recipe` module imports is used in that module, and every
-private module-level name is used somewhere in the package.
+"""Lints over the source of `recipe`: each name it defines or imports has
+a user.
 
 No linter runs on this code, and deleting a second copy of some job tends
-to strand the imports and helpers it needed.  An import statement that
-carries `# noqa: F401` on any of its lines is exempt: the package's
-re-exports, and names imported only so that outside code can find them on
-a module.  Outside `__init__.py` that outside code is `bench/`, so such a
-name must still appear in some `bench/*.py` file.  A private name (`_x`) is for the package's own use, so one that
-no module references outside its definition is dead code.
+to strand the imports and helpers it needed.
+- Every name a module imports is used in that module.  An import statement
+  that carries `# noqa: F401` on any of its lines is exempt: the package's
+  re-exports, and names imported only so that outside code can find them
+  on a module.  Outside `__init__.py` that outside code is `bench/`, so
+  such a name must still appear in some `bench/*.py` file.
+- A private module-level name (`_x`) is for the package's own use, so one
+  that no module references outside its definition is dead code.
+- A public function, or a public method of a module-level class, serves
+  the package, the demos, the benchmark or the acceptance criteria.  One
+  that none of those references outside its own `def` is surface kept
+  alive only by its own unit tests.  A docstring that mentions a name does
+  not use it.
+The module also holds the lints on defaulted parameters, on the decoder's
+imports and on the exceptions the package raises.
 """
 
 import ast
@@ -78,6 +87,46 @@ def _referenced_names(node) -> set[str]:
 
 _STATEMENTS = [(path, node) for path in sorted(SRC.glob("*.py"))
                for node in ast.parse(path.read_text(encoding="utf-8")).body]
+
+
+# Where a public function's users may be: the package outside its
+# re-exports, the demos, the benchmark and the acceptance criteria.
+_ROOT = SRC.parent.parent
+_USERS = [node for path, node in _STATEMENTS if path.name != "__init__.py"] + [
+    node for path in [*sorted((_ROOT / "demos").glob("*.py")), *sorted(BENCH.glob("*.py")),
+                      _ROOT / "tests" / "test_acceptance.py"]
+    for node in ast.parse(path.read_text(encoding="utf-8")).body]
+
+
+def _used_names(node) -> set[str]:
+    """Names a statement references or imports; a docstring that mentions
+    a name does not use it."""
+    return _referenced_names(node) | {part for n in ast.walk(node) if isinstance(n, ast.alias)
+                                      for part in n.name.split(".")}
+
+
+def _public_functions_without_user() -> list[str]:
+    used = [(node, _used_names(node)) for node in _USERS]
+    missing = []
+    for path, node in _STATEMENTS:
+        if path.name == "__init__.py":
+            continue
+        members = node.body if isinstance(node, ast.ClassDef) else [node]
+        for fn in members:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or fn.name.startswith("_"):
+                continue
+            # A method's class siblings may use it; its own body does not count.
+            if any(fn.name in names for other, names in used if other is not node):
+                continue
+            if any(fn.name in _used_names(m) for m in members if m is not fn):
+                continue
+            owner = f"{node.name}." if isinstance(node, ast.ClassDef) else ""
+            missing.append(f"{path.name}: {owner}{fn.name}")
+    return missing
+
+
+def test_every_public_function_has_a_user():
+    assert _public_functions_without_user() == []
 
 
 def _unreferenced_private_names(path: Path) -> list[str]:

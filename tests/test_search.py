@@ -18,9 +18,10 @@ from recipe.search import (
     random_feasible_sequence,
     sample_feasible_predecessors,
     slack_budget,
-    verify_slack_budget,
 )
 from recipe.xdd import Xdd
+
+from oracles import slack_budget_exact
 
 
 def test_mean_field_spot_value_half_half():
@@ -154,10 +155,10 @@ def test_projection_matches_exhaustive_grid():
 
 
 def test_slack_budget_examples():
-    assert verify_slack_budget([0.5, 0.5]) == Fraction(1, 4)
+    assert slack_budget_exact([0.5, 0.5]) == Fraction(1, 4)
     # Shifted Soliton mu_3 as exact rationals: budget is exactly q_3(1) = 1/6
-    assert verify_slack_budget([Fraction(1, 2), Fraction(1, 6), Fraction(1, 3)]) == Fraction(1, 6)
-    assert verify_slack_budget([1.0]) == Fraction(0)
+    assert slack_budget_exact([Fraction(1, 2), Fraction(1, 6), Fraction(1, 3)]) == Fraction(1, 6)
+    assert slack_budget_exact([1.0]) == Fraction(0)
 
 
 def test_slack_budget_identity_exact_random():
@@ -170,7 +171,7 @@ def test_slack_budget_identity_exact_random():
         numerators[rng.integers(0, i)] += 1  # keep the total positive
         denom = sum(numerators)
         masses = [Fraction(n, denom) for n in numerators]
-        assert verify_slack_budget(masses) == masses[0] / i
+        assert slack_budget_exact(masses) == masses[0] / i
 
 
 def test_slack_budget_float_shortcut_agrees():
@@ -178,7 +179,7 @@ def test_slack_budget_float_shortcut_agrees():
     for _ in range(50):
         i = int(rng.integers(2, 20))
         mu = Xdd(i, rng.dirichlet(np.ones(i)))
-        assert slack_budget(mu) == pytest.approx(float(verify_slack_budget(mu.mass)), rel=1e-9)
+        assert slack_budget(mu) == pytest.approx(float(slack_budget_exact(mu.mass)), rel=1e-9)
 
 
 def test_sample_feasible_predecessors_are_valid_and_feasible():

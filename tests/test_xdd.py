@@ -12,7 +12,6 @@ from recipe.xdd import (
     Xdd,
     XddSequence,
     binomial_log,
-    mu_to_q,
     q_from_mu,
     read_sequence,
     sequence_from_json,
@@ -25,25 +24,30 @@ from recipe.xdd import (
 )
 
 
+# mu to q: the probability of one specific size-d XOR-set is
+# q_from_mu(xdd.mu(d), xdd.k, d) = mu(d) / C(k, d).
+
+
 def test_mu_to_q_shifted_soliton_point():
     xdd = Xdd(3, [0.5, 1 / 6, 1 / 3])
-    assert mu_to_q(xdd, 2) == pytest.approx(1 / 18, abs=1e-15)
+    assert q_from_mu(xdd.mu(2), 3, 2) == pytest.approx(1 / 18, abs=1e-15)
 
 
 def test_mu_to_q_single_message():
-    assert mu_to_q(Xdd(1, [1.0]), 1) == 1.0
+    assert q_from_mu(Xdd(1, [1.0]).mu(1), 1, 1) == 1.0
 
 
 def test_mu_to_q_half_half():
-    assert mu_to_q(Xdd(2, [0.5, 0.5]), 1) == 0.25
+    assert q_from_mu(Xdd(2, [0.5, 0.5]).mu(1), 2, 1) == 0.25
 
 
 def test_mu_to_q_degree_out_of_range():
+    # Xdd.mu range-checks the degree before any q is formed.
     xdd = Xdd(2, [0.5, 0.5])
     with pytest.raises(RangeError):
-        mu_to_q(xdd, 0)
+        xdd.mu(0)
     with pytest.raises(RangeError):
-        mu_to_q(xdd, 3)
+        xdd.mu(3)
 
 
 def test_binomial_log_small_values():
@@ -107,7 +111,7 @@ def random_xdd(draw):
 @given(random_xdd())
 def test_q_times_binomial_recovers_mu(xdd):
     for d in range(1, xdd.k + 1):
-        q = mu_to_q(xdd, d)
+        q = q_from_mu(xdd.mu(d), xdd.k, d)
         c = math.exp(binomial_log(xdd.k, d))
         assert abs(q * c - xdd.mu(d)) <= 1e-12
 
@@ -128,7 +132,7 @@ def test_sequence_validation():
         XddSequence(2, (Xdd(1, [1.0]), Xdd(1, [1.0])))
     seq = sequence_from_masses([[1.0], [0.25, 0.75]])
     assert seq.K == 2
-    assert seq.mu(2, 2) == 0.75
+    assert seq.xdd(2).mu(2) == 0.75
     with pytest.raises(RangeError):
         seq.xdd(3)
 
