@@ -264,7 +264,7 @@ def _write_search(args, seq, trace_rows: list[str], inputs: list[str]) -> int:
 
 def _cmd_evaluate(args) -> int:
     scheme = _scheme_from_args(args, args.K)
-    if args.label:
+    if args.label is not None:
         scheme = dataclasses.replace(scheme, label=args.label)
     curve = efficiency_curve(scheme, args.K, args.trials, args.seed,
                              ks=args.ks, threads=args.threads)

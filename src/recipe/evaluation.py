@@ -36,9 +36,10 @@ from .xdd import XddSequence, _atomic_write_bytes, malformed, read_text
 # contribute exactly this value to the mean (pessimistic).
 CAP_FACTOR = 200
 
-# Action-matrix cells (packets x hops) generated per kernel call in
-# run_trials: large enough to amortize the per-hop numpy calls, small
-# enough that 1e5-trial curves stay within a few tens of MB.
+# Cells (codewords x hops) built per kernel call by peel_trials and
+# degree_histogram: large enough to amortize the per-hop numpy calls,
+# small enough that 1e5-trial curves and HRS banks at K=236 stay within
+# a few tens of MB of temporaries.
 _CHUNK_CELLS = 1 << 21
 
 _SEED_C1 = 0xFF51AFD7ED558CCD
@@ -64,45 +65,60 @@ def _codeword_values(members: np.ndarray, switch_ids: np.ndarray) -> np.ndarray:
     return np.bitwise_xor.reduce(np.where(members, switch_ids, _U64(0)), axis=1)
 
 
+def peel_trials(states, k: int, cap: int, block):
+    """Peel each trial (an index into `states`) by PeelingState.absorb
+    until it completes or reaches `cap`; yield (trial, codewords used) as
+    each stops.  `block(ts, lo, hi)` returns codewords lo..hi-1 of trials
+    `ts`: their (len(ts), hi - lo, k) XOR-set memberships, and per trial
+    an iterable of values.  Blocks are 2k codewords (8 to cap), built for
+    at most _CHUNK_CELLS cells at a time; a trial's stop reads only its
+    own codewords, so neither changes a result."""
+    width = min(cap, max(2 * k, 8))
+    group = max(1, _CHUNK_CELLS // (width * k))
+    active = list(range(len(states)))
+    lo = 0
+    while active:
+        hi = min(lo + width, cap)
+        still = []
+        for g in range(0, len(active), group):
+            ts = active[g:g + group]
+            members, values = block(ts, lo, hi)
+            masks = masks_from_members(members.reshape(-1, k))
+            for j, (t, vals) in enumerate(zip(ts, values)):
+                state = states[t]
+                used = lo + state.absorb(zip(masks[j * (hi - lo):(j + 1) * (hi - lo)], vals))
+                if state.complete or hi == cap:
+                    yield t, used
+                else:
+                    still.append(t)
+        active = still
+        lo = hi
+
+
 def run_trials(scheme, k: int, seeds) -> tuple[np.ndarray, np.ndarray]:
     """Run one instance per seed; return (used, completed) arrays.
 
-    Codeword generation is batched across the still-active instances per
-    round, at most _CHUNK_CELLS action-matrix cells per kernel call; each
-    instance consumes its own stream in order through the peeling decoder
-    and is verified against its ground-truth IDs.
-    """
+    Each instance draws its packet ids from its own stream and is checked
+    against its ground-truth IDs when peel_trials stops it."""
     B = len(seeds)
-    cap = CAP_FACTOR * k
     # PeelingState checks k, so it comes before the draws that need k >= 0.
     states = [PeelingState(k) for _ in range(B)]
     rngs = [np.random.default_rng(s) for s in seeds]
     switch_ids = [_draw_switch_ids(rng, k) for rng in rngs]
     used = np.zeros(B, dtype=np.int64)
     completed = np.zeros(B, dtype=bool)
-    block = min(cap, max(2 * k, 8))
-    chunk = max(1, _CHUNK_CELLS // (block * k))
-    active = list(range(B))
-    while active:
-        still = []
-        for c0 in range(0, len(active), chunk):
-            batch = active[c0:c0 + chunk]
-            # Raw 64-bit draws: the same values as integers(0, 2**64, dtype=uint64).
-            pids = np.concatenate([rngs[t].bit_generator.random_raw(block) for t in batch])
-            members = xor_members(scheme.actions(k, pids))
-            masks = masks_from_members(members)
-            for row, t in enumerate(batch):
-                lo = row * block
-                vals = _codeword_values(members[lo:lo + block], switch_ids[t]).tolist()
-                state = states[t]
-                take = min(block, cap - int(used[t]))
-                used[t] += state.absorb(zip(masks[lo:lo + take], vals))
-                if state.complete or used[t] == cap:
-                    completed[t] = state.complete
-                    _verify_resolution(state, switch_ids[t])
-                else:
-                    still.append(t)
-        active = still
+
+    def block(ts, lo, hi):
+        # Raw 64-bit draws: the same values as integers(0, 2**64, dtype=uint64).
+        pids = np.concatenate([rngs[t].bit_generator.random_raw(hi - lo) for t in ts])
+        members = xor_members(scheme.actions(k, pids)).reshape(len(ts), hi - lo, k)
+        return members, (_codeword_values(m, switch_ids[t]).tolist()
+                         for m, t in zip(members, ts))
+
+    for t, n in peel_trials(states, k, CAP_FACTOR * k, block):
+        used[t] = n
+        completed[t] = states[t].complete
+        _verify_resolution(states[t], switch_ids[t])
     return used, completed
 
 
@@ -156,10 +172,11 @@ def efficiency_curve(scheme, K: int, trials: int, seed: int,
         raise RangeError(f"diameter must be positive, got K={K}")
     if trials < 1:
         raise RangeError("at least one trial per point is required")
-    # One CSV field on one line, which read_curves_csv's line strip keeps whole.
-    if any(c in scheme.label for c in ",\r\n") or scheme.label != scheme.label.strip():
-        raise RangeError("a curve label may not contain ',', CR or LF, nor start or end "
-                         f"with whitespace, got {scheme.label!r}")
+    # One nonempty CSV field on one line, which read_curves_csv's line strip keeps whole.
+    if not scheme.label or scheme.label != scheme.label.strip() or any(
+            c in scheme.label for c in ",\r\n"):
+        raise RangeError("a curve label must be nonempty, with no ',', CR or LF and no "
+                         f"leading or trailing whitespace, got {scheme.label!r}")
     ks = list(ks) if ks is not None else list(range(1, K + 1))
     for k in ks:  # refuse a bad k before any trial runs
         scheme._check_length(k)
@@ -170,18 +187,17 @@ def efficiency_curve(scheme, K: int, trials: int, seed: int,
 
 
 def compare_t_vs_d(seq: XddSequence, L_values, trials: int, seed: int,
-                   ks=None, threads: int = 1) -> dict[str, EfficiencyCurve]:
+                   threads: int = 1) -> dict[str, EfficiencyCurve]:
     """Table-based approximation quality study: one curve per table size
     against the exact degree-based protocol, from one derived APA."""
     apa = derive_apa(seq)
     curves = {}
     d_scheme = RecipeDScheme(apa=apa, seed=seed, label="recipe-d")
-    curves["recipe-d"] = efficiency_curve(d_scheme, seq.K, trials, seed, ks=ks, threads=threads)
+    curves["recipe-d"] = efficiency_curve(d_scheme, seq.K, trials, seed, threads=threads)
     for L in L_values:
         avst = generate_avst(apa, L, derive_seed(seed, 1_000_000 + L))
         t_scheme = RecipeTScheme(avst, seed=seed)
-        curves[t_scheme.label] = efficiency_curve(
-            t_scheme, seq.K, trials, seed, ks=ks, threads=threads)
+        curves[t_scheme.label] = efficiency_curve(t_scheme, seq.K, trials, seed, threads=threads)
     return curves
 
 
@@ -226,13 +242,11 @@ def degree_histogram(scheme, k: int, n_packets: int, seed: int) -> np.ndarray:
     are excluded; the caller compares against the conditioned XDD."""
     rng = np.random.default_rng(seed)
     counts = np.zeros(k, dtype=np.int64)
-    chunk = 1 << 16
-    remaining = n_packets
-    while remaining > 0:
-        n = min(chunk, remaining)
-        members = xor_members(scheme.actions(k, rng.integers(0, 2**64, size=n, dtype=_U64)))
+    step = max(1, _CHUNK_CELLS // k)
+    for lo in range(0, n_packets, step):
+        pids = rng.integers(0, 2**64, size=min(step, n_packets - lo), dtype=_U64)
+        members = xor_members(scheme.actions(k, pids))
         counts += np.bincount(members.sum(axis=1), minlength=k + 1)[1:]
-        remaining -= n
     return counts
 
 

@@ -42,9 +42,8 @@ import numpy as np
 from .decoder import PeelingState
 from .distributions import robust_soliton, expand_invariant, shifted_soliton
 from .errors import InternalConsistencyError, RangeError
-from .evaluation import map_jobs
+from .evaluation import map_jobs, peel_trials
 from .feasibility import check_feasible, _rhs_mu
-from .protocol import masks_from_members
 from .xdd import Xdd, XddSequence, binomial_log, sequence_from_masses
 
 # QPS keeps a floor under mu(1): the first decode requires Psuc_1 = mu(1),
@@ -57,10 +56,6 @@ _QPS_MAX_ITERS = 2000
 
 # Codewords per hop that one HRS scoring trial may consume (at least 12).
 _BANK_CAP_FACTOR = 6
-# Rank cells (trials x codewords x hops) that one HRS score turns into masks
-# at a time: each trial's masks are its own, so grouping trials changes no
-# result, and the group's temporaries stay a few MB at any m.
-_SCORE_BLOCK_CELLS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -496,30 +491,18 @@ class _ScoringBank:
                     total += len(prefix) // 2
                     break
             else:
-                peeling.append((t, PeelingState(self.m)))
-        # Masks for the trials still peeling only, in blocks ending at 2m
-        # codewords, then at each doubling, up to the cap, and for at most
-        # _SCORE_BLOCK_CELLS rank cells' worth of those trials at a time.
-        lo, hi = 0, 2 * self.m
-        while peeling:
-            hi = min(hi, self.cap)
-            width = hi - lo
-            group = max(1, _SCORE_BLOCK_CELLS // (width * self.m))
-            going = []
-            for g in range(0, len(peeling), group):
-                part = peeling[g:g + group]
-                ts = [t for t, _ in part]
-                masks = masks_from_members(
-                    (self.ranks[ts, lo:hi] <= tops[ts, lo:hi, None]).reshape(-1, self.m))
-                for j, (t, state) in enumerate(part):
-                    used = lo + state.absorb(zip(masks[j * width:(j + 1) * width], repeat(0)))
-                    if state.complete or hi == self.cap:
-                        total += used
-                        self.prefixes[t].append(streams[t * stride:t * stride + 2 * used])
-                    else:
-                        going.append((t, state))
-            peeling = going
-            lo, hi = hi, 2 * hi
+                peeling.append(t)
+        peeling = np.array(peeling, dtype=np.intp)
+
+        def block(js, lo, hi):
+            ts = peeling[js]
+            return self.ranks[ts, lo:hi] <= tops[ts, lo:hi, None], repeat(repeat(0))
+
+        for j, used in peel_trials([PeelingState(self.m) for _ in peeling], self.m,
+                                   self.cap, block):
+            t = peeling[j]
+            total += used
+            self.prefixes[t].append(streams[t * stride:t * stride + 2 * used])
         return total / self.trials
 
 

@@ -234,7 +234,7 @@ def test_evaluate_diameter_out_of_range_is_one_error_line(tmp_path, capsys):
             assert not out_path.exists()
 
 
-@pytest.mark.parametrize("label", ["a,b", "a\nb", "a\rb", "  x ", " x", "x\t"])
+@pytest.mark.parametrize("label", ["a,b", "a\nb", "a\rb", "  x ", " x", "x\t", ""])
 def test_evaluate_label_that_would_split_a_csv_row_is_one_error_line(tmp_path, capsys,
                                                                      monkeypatch, label):
     ran = []

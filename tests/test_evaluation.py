@@ -189,6 +189,16 @@ def test_degree_histogram_matches_target_for_pint():
     assert (np.abs(counts - n_kept * target) <= 4 * sigma).all()
 
 
+@pytest.mark.parametrize("name", ["recipe-d", "recipe-t", "pint"])
+def test_degree_histogram_does_not_depend_on_the_chunk_size(monkeypatch, name):
+    # Full-range uint64 draws read the generator the same in any chunking:
+    # 5000 packets in one call, then in calls of 166, 166, .. and 20 at k=6.
+    scheme = _k12_scheme(name)
+    want = degree_histogram(scheme, 6, 5000, seed=9)
+    monkeypatch.setattr(evaluation, "_CHUNK_CELLS", 1000)
+    assert degree_histogram(scheme, 6, 5000, seed=9).tolist() == want.tolist()
+
+
 def test_recipe_t_single_row_table_caps_out():
     # L=1: every packet carries the same codeword; only hop 1 of a 3-hop
     # path can ever resolve, so the trial hits the cap and reports as
@@ -203,7 +213,7 @@ def test_recipe_t_single_row_table_caps_out():
 
 def test_compare_t_vs_d_and_gap():
     seq = shifted_soliton_sequence(6)
-    curves = compare_t_vs_d(seq, L_values=[40, 4000], trials=400, seed=5, ks=[2, 4, 6])
+    curves = compare_t_vs_d(seq, L_values=[40, 4000], trials=400, seed=5)
     assert set(curves) == {"recipe-d", "recipe-t:L=40", "recipe-t:L=4000"}
     gap_small = mean_curve_gap(curves["recipe-t:L=40"], curves["recipe-d"])
     gap_big = mean_curve_gap(curves["recipe-t:L=4000"], curves["recipe-d"])

@@ -15,8 +15,10 @@ to strand the imports and helpers it needed.
   that none of those references outside its own `def` is surface kept
   alive only by its own unit tests.  A docstring that mentions a name does
   not use it.
-The module also holds the lints on defaulted parameters, on the decoder's
-imports and on the exceptions the package raises.
+- A parameter with a default is set by some caller among those same
+  users: one that only unit tests set is an option no user has.
+The module also holds the lints on the decoder's imports and on the
+exceptions the package raises.
 """
 
 import ast
@@ -89,13 +91,14 @@ _STATEMENTS = [(path, node) for path in sorted(SRC.glob("*.py"))
                for node in ast.parse(path.read_text(encoding="utf-8")).body]
 
 
-# Where a public function's users may be: the package outside its
-# re-exports, the demos, the benchmark and the acceptance criteria.
+# Where a public function's users, and a defaulted parameter's callers,
+# may be: the package outside its re-exports, the demos, the benchmark and
+# the acceptance criteria.
 _ROOT = SRC.parent.parent
+_OUTSIDE_USERS = [*sorted((_ROOT / "demos").glob("*.py")), *sorted(BENCH.glob("*.py")),
+                  _ROOT / "tests" / "test_acceptance.py"]
 _USERS = [node for path, node in _STATEMENTS if path.name != "__init__.py"] + [
-    node for path in [*sorted((_ROOT / "demos").glob("*.py")), *sorted(BENCH.glob("*.py")),
-                      _ROOT / "tests" / "test_acceptance.py"]
-    for node in ast.parse(path.read_text(encoding="utf-8")).body]
+    node for path in _OUTSIDE_USERS for node in ast.parse(path.read_text(encoding="utf-8")).body]
 
 
 def _used_names(node) -> set[str]:
@@ -159,8 +162,7 @@ def test_decoder_imports_no_private_name():
     assert private == []
 
 
-_CALLERS = [path for top in ("src", "tests", "bench", "demos")
-            for path in sorted((SRC.parent.parent / top).rglob("*.py"))]
+_CALLERS = [*sorted(SRC.glob("*.py")), *_OUTSIDE_USERS]
 
 
 def _defaulted_parameters():
@@ -189,7 +191,8 @@ def _passes(call: ast.Call, param: str, idx) -> bool:
 
 
 def test_every_defaulted_parameter_is_set_by_some_caller():
-    # A default that no caller overrides is a constant written as an option.
+    # A default that no caller overrides is a constant written as an option;
+    # one that only unit tests override is an option no user has.
     calls: dict[str, list[ast.Call]] = {}
     for path in _CALLERS:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):

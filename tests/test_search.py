@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from recipe import search
+from recipe import evaluation, search
 from recipe.decoder import PeelingState
 from recipe.distributions import expand_invariant, shifted_soliton
 from recipe.errors import RangeError
@@ -282,6 +282,23 @@ def test_scoring_bank_reuse_matches_peeling_every_trial(monkeypatch):
     assert wide.score(mass) == _bank_reference_score(wide, mass)
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_scoring_bank_short_last_block_matches_peeling_every_trial(m):
+    # Blocks are 8 codewords here, and the caps 12 and 18 are not multiples
+    # of 8, so the last block is short.  Scarce degree-1 codewords take many
+    # trials into it, and the full set runs every trial to the cap.
+    bank = search._ScoringBank(m, 30, np.random.default_rng(11))
+    scarce = np.full(m, 0.95 / (m - 1))
+    scarce[0] = 0.05
+    top = np.zeros(m)
+    top[-1] = 1.0
+    cands = list(sample_feasible_predecessors(shifted_soliton(m + 1), 4,
+                                              np.random.default_rng(m))) + [scarce, top]
+    for mass in cands:
+        assert bank.score(mass) == _bank_reference_score(bank, mass)
+    assert bank.score(top) == bank.cap
+
+
 def test_scoring_bank_scores_do_not_depend_on_the_block_size(monkeypatch):
     m, trials = 8, 40
     cands = list(sample_feasible_predecessors(shifted_soliton(m + 1), 6,
@@ -291,7 +308,7 @@ def test_scoring_bank_scores_do_not_depend_on_the_block_size(monkeypatch):
     # One trial per group; then 3 trials per group in the first block of 2m
     # codewords, with an uneven last group.
     for cells in (1, 3 * 2 * m * m):
-        monkeypatch.setattr(search, "_SCORE_BLOCK_CELLS", cells)
+        monkeypatch.setattr(evaluation, "_CHUNK_CELLS", cells)
         bank = search._ScoringBank(m, trials, np.random.default_rng(17))
         assert [bank.score(mass) for mass in cands] == want
 
